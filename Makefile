@@ -116,7 +116,8 @@ gray-smoke:
 	echo "gray-smoke: OK"
 
 # Compare the committed BENCH_*.json baselines against a fresh
-# regeneration of their deterministic fields.
+# regeneration of their deterministic fields, and schema-check a fresh
+# BENCH_obs.json (host timings, not committed).
 bench-guard:
 	scripts/bench_guard
 
@@ -159,4 +160,4 @@ vfs-smoke:
 	echo "vfs-smoke: OK"
 
 ci: build test fmt doc lint-loops lint-globals chaos-smoke replay-smoke \
-	vfs-smoke cluster-smoke gray-smoke
+	vfs-smoke cluster-smoke gray-smoke bench-guard

@@ -37,7 +37,9 @@ type 'a slot = { sl_val : 'a; sl_words : int; sl_core : int; sl_time : int }
 
 type 'a t = {
   chid : int;
-  chlabel : string;
+  chlabel : string option;
+      (** [None] for an anonymous channel, whose label ["chan-<id>"] is
+          built only when something asks for it *)
   cap : capacity;
   buf : 'a slot Queue.t;
   txq : 'a tx Deque.t;
@@ -48,11 +50,8 @@ type 'a t = {
 let make_chan cap label =
   let eng = Engine.current () in
   let chid = Engine.fresh_id eng in
-  let chlabel =
-    match label with Some l -> l | None -> Printf.sprintf "chan-%d" chid
-  in
   let c =
-    { chid; chlabel; cap; buf = Queue.create (); txq = Deque.create ();
+    { chid; chlabel = label; cap; buf = Queue.create (); txq = Deque.create ();
       rxq = Deque.create (); closed = false }
   in
   (* Only explicitly labelled channels register with the snapshot
@@ -61,8 +60,8 @@ let make_chan cap label =
      Registration is host-side only — no charge, no trace event. *)
   (match label with
   | None -> ()
-  | Some _ ->
-    Inspect.register ~name:(Printf.sprintf "chan/%s#%d" c.chlabel c.chid)
+  | Some l ->
+    Inspect.register ~name:(Printf.sprintf "chan/%s#%d" l c.chid)
       (fun () ->
         let live_tx = ref 0 and live_rx = ref 0 in
         Deque.iter (fun tx -> if tx.tx_live () then incr live_tx) c.txq;
@@ -88,7 +87,10 @@ let buffered ?label n =
 
 let unbounded ?label () = make_chan Unbounded label
 
-let label c = c.chlabel
+let label c =
+  match c.chlabel with
+  | Some l -> l
+  | None -> "chan-" ^ string_of_int c.chid
 
 let id c = c.chid
 
@@ -255,7 +257,7 @@ let send ?(words = 2) c v =
   let src = Engine.fiber_core (Engine.self eng) in
   let ts = Engine.now eng in
   if not (send_fast eng c v ~words ~src ~ts) then
-    Engine.suspend eng ~tag:("send:" ^ c.chlabel) (fun w ->
+    Engine.suspend eng ~tag:("send:" ^ label c) (fun w ->
         Deque.push_back c.txq (plain_tx eng w ~v ~words ~core:src ~time:ts))
 
 let try_send ?(words = 2) c v =
@@ -295,7 +297,7 @@ let recv_fast eng c ~me ~tr =
     let completion = max tr sl.sl_time + transit eng ~src:sl.sl_core ~dst:me in
     Engine.charge eng (completion - tr);
     refill eng c ~time:completion;
-    Engine.emit eng (Trace.Recv { chan = c.chid });
+    if Engine.tracing eng then Engine.emit eng (Trace.Recv { chan = c.chid });
     sl.sl_val
   end
   else
@@ -305,7 +307,8 @@ let recv_fast eng c ~me ~tr =
       Engine.charge eng (completion - tr);
       count_message eng c ~src:tx.tx_core ~dst:me ~words:tx.tx_words;
       tx.tx_done ~time:completion;
-      Engine.emit eng (Trace.Recv { chan = c.chid });
+      if Engine.tracing eng then
+        Engine.emit eng (Trace.Recv { chan = c.chid });
       tx.tx_val
     | None ->
       if c.closed then raise Closed
@@ -317,7 +320,7 @@ let recv c =
   let tr = Engine.now eng in
   if recv_ready c then recv_fast eng c ~me ~tr
   else
-    Engine.suspend eng ~tag:("recv:" ^ c.chlabel) (fun w ->
+    Engine.suspend eng ~tag:("recv:" ^ label c) (fun w ->
         Deque.push_back c.rxq (plain_rx eng w ~core:me ~time:tr))
 
 let try_recv c =

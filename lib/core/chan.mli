@@ -40,6 +40,9 @@ val buffered : ?label:string -> int -> 'a t
 val unbounded : ?label:string -> unit -> 'a t
 
 val label : 'a t -> string
+(** The [?label] given at creation, as given; ["chan-<id>"] for a
+    channel created without one.  Blocked fibers report the label in
+    their wait tag ([recv:<label>], [send:<label>]). *)
 
 val id : 'a t -> int
 

@@ -23,21 +23,39 @@ type fiber = {
   mutable wait_tag : string;
   mutable status : exit_status option;
   mutable monitors : (time:int -> exit_status -> unit) list;
-  mutable on_kill : (exn -> unit) option;
+  mutable parked : parked;  (** the waker a kill must abort *)
   mutable kill_requested : bool;
+  mutable resume : unit -> unit;
+      (** what the fiber's next segment runs: its body, then the
+          continuation thunk of each wake *)
+  arrive : unit -> unit;
+      (** the fiber's own "reached its run queue" event, allocated
+          once at spawn and pushed on every wake *)
   daemon : bool;
+}
+
+and parked = Unparked | Parked : 'a waker -> parked
+
+and 'a waker = {
+  w_fiber : fiber;
+  mutable w_used : bool;
+  w_k : ('a, unit) Effect.Deep.continuation;
 }
 
 type core_state = {
   cid : int;
-  runq : (fiber * (unit -> unit)) Deque.t;
+  runq : fiber Deque.t;
   mutable pending : int;
       (** wakes scheduled but not yet enqueued — makes load visible to
           placement policies within the scheduling segment *)
   mutable free_at : int;
   mutable busy : int;
   mutable kicked : bool;
+  mutable dispatch_ev : unit -> unit;
+      (** this core's dispatch event, allocated once per run *)
 }
+
+module Fid_table = Hashtbl.Make (Int)
 
 type counters = {
   mutable msgs : int;
@@ -67,21 +85,21 @@ type t = {
   policy : Policy.t;
   rng : Rng.t;
   policy_rng : Rng.t;
-  events : (int * int, unit -> unit) Pqueue.t;
-  mutable seq : int;
+  events : (unit -> unit) Pqueue.t;
   cores : core_state array;
   mutable now : int;  (** time of the event being processed *)
   mutable horizon : int;  (** furthest virtual time reached *)
   mutable seg_start : int;
   mutable seg_acc : int;
-  mutable seg_fiber : fiber option;
+  mutable seg_fiber : fiber;  (** [no_fiber] between segments *)
   mutable next_fid : int;
   mutable next_oid : int;
   mutable live : int;
   mutable live_nondaemon : int;
   mutable main_crash : exn option;
   mutable started : bool;
-  mutable fibers : fiber list;  (** registry for deadlock reports *)
+  fibers : fiber Fid_table.t;
+      (** live fibers by fid, for deadlock reports and [inspect] *)
   cnt : counters;
 }
 
@@ -91,43 +109,6 @@ let default_config machine =
     seed = 42;
     trace = None;
     max_events = 200_000_000 }
-
-let create (config : config) =
-  let n = Machine.cores config.machine in
-  let rng = Rng.make config.seed in
-  let cmp (t1, s1) (t2, s2) =
-    if t1 <> t2 then compare t1 t2 else compare s1 s2
-  in
-  let ctx = Ctx.create () in
-  Inspect.attach ctx (Inspect.create_registry ());
-  { config;
-    ctx;
-    machine = config.machine;
-    policy = config.policy;
-    rng;
-    policy_rng = Rng.split rng;
-    events = Pqueue.create cmp;
-    seq = 0;
-    cores =
-      Array.init n (fun cid ->
-          { cid; runq = Deque.create (); pending = 0; free_at = 0; busy = 0;
-            kicked = false });
-    now = 0;
-    horizon = 0;
-    seg_start = 0;
-    seg_acc = 0;
-    seg_fiber = None;
-    next_fid = 0;
-    next_oid = 0;
-    live = 0;
-    live_nondaemon = 0;
-    main_crash = None;
-    started = false;
-    fibers = [];
-    cnt =
-      { msgs = 0; remote_msgs = 0; words_copied = 0; hops = 0; spawns = 0;
-        steals = 0; segments = 0; events = 0; wakes = 0; retries = 0 };
-  }
 
 let machine t = t.machine
 
@@ -165,7 +146,15 @@ let elapsed t = t.horizon
 
 let tracing t = t.config.trace <> None
 
-let in_fiber t = t.seg_fiber <> None
+let noop () = ()
+
+(* The [seg_fiber] of an engine between segments.  Never mutated. *)
+let no_fiber =
+  { fid = -1; label = ""; core = -1; prio = Normal; state = Done;
+    wait_tag = ""; status = None; monitors = []; parked = Unparked;
+    kill_requested = false; resume = noop; arrive = noop; daemon = true }
+
+let in_fiber t = t.seg_fiber != no_fiber
 
 let now t = if in_fiber t then t.seg_start + t.seg_acc else t.now
 
@@ -176,28 +165,22 @@ let charge t n =
      hardware, not core work *)
 
 let self t =
-  match t.seg_fiber with
-  | Some f -> f
-  | None -> failwith "Engine.self: not inside a fiber"
+  if in_fiber t then t.seg_fiber
+  else failwith "Engine.self: not inside a fiber"
 
 let emit t ev =
   match t.config.trace with
   | None -> ()
   | Some sink ->
-    let fiber, core =
-      match t.seg_fiber with
-      | Some f -> (f.fid, f.core)
-      | None -> (-1, -1)
-    in
-    sink { Trace.time = now t; core; fiber; event = ev }
+    let f = t.seg_fiber in
+    sink { Trace.time = now t; core = f.core; fiber = f.fid; event = ev }
 
 (* ------------------------------------------------------------------ *)
 (* Event queue                                                         *)
 
 let push_event t time thunk =
   assert (time >= t.now);
-  t.seq <- t.seq + 1;
-  Pqueue.add t.events (time, t.seq) thunk
+  Pqueue.add t.events time thunk
 
 let schedule_at t time thunk =
   let time = max time (now t) in
@@ -221,14 +204,14 @@ let rec kick t core at =
   if not core.kicked then begin
     core.kicked <- true;
     let when_ = max at core.free_at in
-    push_event t when_ (fun () -> dispatch t core)
+    push_event t when_ core.dispatch_ev
   end
 
 and dispatch t core =
   core.kicked <- false;
   match Deque.pop_front core.runq with
-  | Some (f, thunk) ->
-    run_segment t core f thunk ~precharge:0;
+  | Some f ->
+    run_segment t core f ~precharge:0;
     if not (Deque.is_empty core.runq) then kick t core core.free_at
     else if Policy.steals t.policy then
       (* keep this core draining other cores' backlogs *)
@@ -251,7 +234,7 @@ and try_steal t core =
       let victim = t.cores.(vic) in
       match Deque.pop_front victim.runq with
       | None -> false
-      | Some (f, thunk) ->
+      | Some f ->
         t.cnt.steals <- t.cnt.steals + 1;
         (match t.config.trace with
         | Some sink ->
@@ -266,7 +249,7 @@ and try_steal t core =
           c.Cost.cache_miss
           + (Machine.hops t.machine vic core.cid * c.Cost.coherence_per_hop)
         in
-        run_segment t core f thunk ~precharge:miss;
+        run_segment t core f ~precharge:miss;
         true)
   in
   if stolen || not (Deque.is_empty core.runq) then kick t core core.free_at
@@ -274,15 +257,17 @@ and try_steal t core =
     (* probes missed, but backlog exists: retry after a beat *)
     kick t core (t.now + steal_retry_interval)
 
-and run_segment t core f thunk ~precharge =
+and run_segment t core f ~precharge =
   let start = max t.now core.free_at in
   t.seg_start <- start;
   t.seg_acc <- (costs t).Cost.fiber_switch + precharge;
-  t.seg_fiber <- Some f;
+  t.seg_fiber <- f;
   f.state <- Running;
   t.cnt.segments <- t.cnt.segments + 1;
+  let thunk = f.resume in
+  f.resume <- noop;
   thunk ();
-  t.seg_fiber <- None;
+  t.seg_fiber <- no_fiber;
   let fin = t.seg_start + t.seg_acc in
   core.free_at <- fin;
   core.busy <- core.busy + (fin - start);
@@ -294,12 +279,59 @@ and run_segment t core f thunk ~precharge =
       { Trace.time = fin; core = core.cid; fiber = f.fid;
         event = Trace.Segment { start; label = f.label } }
 
+let create (config : config) =
+  let n = Machine.cores config.machine in
+  let rng = Rng.make config.seed in
+  let ctx = Ctx.create () in
+  Inspect.attach ctx (Inspect.create_registry ());
+  let t =
+    { config;
+      ctx;
+      machine = config.machine;
+      policy = config.policy;
+      rng;
+      policy_rng = Rng.split rng;
+      events = Pqueue.create ~dummy:noop;
+      cores =
+        Array.init n (fun cid ->
+            { cid; runq = Deque.create (); pending = 0; free_at = 0; busy = 0;
+              kicked = false; dispatch_ev = noop });
+      now = 0;
+      horizon = 0;
+      seg_start = 0;
+      seg_acc = 0;
+      seg_fiber = no_fiber;
+      next_fid = 0;
+      next_oid = 0;
+      live = 0;
+      live_nondaemon = 0;
+      main_crash = None;
+      started = false;
+      fibers = Fid_table.create 64;
+      cnt =
+        { msgs = 0; remote_msgs = 0; words_copied = 0; hops = 0; spawns = 0;
+          steals = 0; segments = 0; events = 0; wakes = 0; retries = 0 };
+    }
+  in
+  Array.iter (fun c -> c.dispatch_ev <- (fun () -> dispatch t c)) t.cores;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Making fibers runnable                                              *)
+
+(* A fiber's [arrive] event: it joins its core's run queue. *)
+let arrive t f =
+  let core = t.cores.(f.core) in
+  core.pending <- core.pending - 1;
+  (match f.prio with
+  | High -> Deque.push_front core.runq f
+  | Normal -> Deque.push_back core.runq f);
+  kick t core t.now
 
 let enqueue_runnable t f thunk ~at =
   t.cnt.wakes <- t.cnt.wakes + 1;
   f.state <- Runnable;
+  f.resume <- thunk;
   (* push-assisted balancing: under a stealing policy, a wake that
      targets a busy core is redirected to an idle one when a couple of
      random probes find it *)
@@ -322,12 +354,7 @@ let enqueue_runnable t f thunk ~at =
       { Trace.time = at; core = f.core; fiber = f.fid; event = Trace.Wake });
   let core = t.cores.(f.core) in
   core.pending <- core.pending + 1;
-  push_event t at (fun () ->
-      core.pending <- core.pending - 1;
-      (match f.prio with
-      | High -> Deque.push_front core.runq (f, thunk)
-      | Normal -> Deque.push_back core.runq (f, thunk));
-      kick t core t.now)
+  push_event t at f.arrive
 
 (* ------------------------------------------------------------------ *)
 (* Fiber lifecycle                                                     *)
@@ -335,16 +362,19 @@ let enqueue_runnable t f thunk ~at =
 let finish t f st =
   f.state <- Done;
   f.status <- Some st;
-  f.on_kill <- None;
+  f.parked <- Unparked;
   t.live <- t.live - 1;
   if not f.daemon then t.live_nondaemon <- t.live_nondaemon - 1;
-  let status_str =
-    match st with
-    | Normal -> "normal"
-    | Killed -> "killed"
-    | Crashed e -> "crashed: " ^ Printexc.to_string e
-  in
-  emit t (Trace.Exit { status = status_str });
+  Fid_table.remove t.fibers f.fid;
+  if tracing t then begin
+    let status =
+      match st with
+      | Normal -> "normal"
+      | Killed -> "killed"
+      | Crashed e -> "crashed: " ^ Printexc.to_string e
+    in
+    emit t (Trace.Exit { status })
+  end;
   if f.fid = 0 then begin
     match st with
     | Crashed e -> t.main_crash <- Some e
@@ -360,31 +390,38 @@ let monitor t f cb =
   | Some st -> cb ~time:(now t) st
   | None -> f.monitors <- cb :: f.monitors
 
-type 'a waker = {
-  w_fiber : fiber;
-  w_used : bool ref;
-  w_k : ('a, unit) Effect.Deep.continuation;
-}
-
 type _ Effect.t +=
   | Suspend : string * ('a waker -> unit) -> 'a Effect.t
 
 let waker_fiber w = w.w_fiber
 
-let waker_live w = (not !(w.w_used)) && w.w_fiber.state = Blocked
+let waker_live w = (not w.w_used) && w.w_fiber.state = Blocked
 
-let wake_at_gen t w time v_or_e =
-  if not !(w.w_used) then begin
-    w.w_used := true;
+(* Use up a waker; false when it was already used. *)
+let claim w =
+  if w.w_used then false
+  else begin
+    w.w_used <- true;
     let f = w.w_fiber in
-    f.on_kill <- None;
+    f.parked <- Unparked;
     f.wait_tag <- "";
-    let thunk =
-      match v_or_e with
-      | Ok v -> fun () -> Effect.Deep.continue w.w_k v
-      | Error e -> fun () -> Effect.Deep.discontinue w.w_k e
-    in
-    enqueue_runnable t f thunk ~at:(max time t.now)
+    true
+  end
+
+let wake_ok t w time v =
+  if claim w then begin
+    let k = w.w_k in
+    enqueue_runnable t w.w_fiber
+      (fun () -> Effect.Deep.continue k v)
+      ~at:(max time t.now)
+  end
+
+let wake_err t w time e =
+  if claim w then begin
+    let k = w.w_k in
+    enqueue_runnable t w.w_fiber
+      (fun () -> Effect.Deep.discontinue k e)
+      ~at:(max time t.now)
   end
 
 (* wake_at / wake_err_at need the engine; wakers are only ever used
@@ -403,9 +440,9 @@ let current () =
   | t :: _ -> t
   | [] -> failwith "Chorus.Engine.current: no run in progress"
 
-let wake_at w time v = wake_at_gen (current ()) w time (Ok v)
+let wake_at w time v = wake_ok (current ()) w time v
 
-let wake_err_at w time e = wake_at_gen (current ()) w time (Error e)
+let wake_err_at w time e = wake_err (current ()) w time e
 
 let suspend (type a) t ~tag (register : a waker -> unit) : a =
   ignore t;
@@ -430,10 +467,9 @@ let fiber_body t f body () =
                 else begin
                   f.state <- Blocked;
                   f.wait_tag <- tag;
-                  emit t (Trace.Block { on = tag });
-                  let w = { w_fiber = f; w_used = ref false; w_k = k } in
-                  f.on_kill <-
-                    Some (fun e -> wake_at_gen t w (now t) (Error e));
+                  if tracing t then emit t (Trace.Block { on = tag });
+                  let w = { w_fiber = f; w_used = false; w_k = k } in
+                  f.parked <- Parked w;
                   register w
                 end)
           | _ -> None) }
@@ -449,64 +485,63 @@ let spawn t ?on ?affinity ?label ?(priority = Normal) ?(daemon = false) body =
         invalid_arg "Engine.spawn: core out of range";
       c
     | None ->
-      let parent_core =
-        match parent with Some p -> p.core | None -> 0
-      in
+      let parent_core = if parent == no_fiber then 0 else parent.core in
       Policy.place t.policy (policy_view t) ~parent:parent_core ~affinity
   in
   let label =
-    match label with Some l -> l | None -> Printf.sprintf "fiber-%d" fid
+    match label with Some l -> l | None -> "fiber-" ^ string_of_int fid
   in
-  let f =
+  let rec f =
     { fid; label; core; prio = priority; state = Created; wait_tag = "";
-      status = None; monitors = []; on_kill = None; kill_requested = false;
-      daemon }
+      status = None; monitors = []; parked = Unparked;
+      kill_requested = false; resume = noop;
+      arrive = (fun () -> arrive t f); daemon }
   in
   t.live <- t.live + 1;
   if not daemon then t.live_nondaemon <- t.live_nondaemon + 1;
   t.cnt.spawns <- t.cnt.spawns + 1;
-  t.fibers <- f :: t.fibers;
-  (* compact the registry when mostly dead, so long runs stay O(live) *)
-  if t.cnt.spawns land 0xFFF = 0 && List.length t.fibers > 4 * t.live then
-    t.fibers <- List.filter alive t.fibers;
+  Fid_table.replace t.fibers fid f;
   let c = costs t in
   charge t c.Cost.fiber_spawn;
   let at =
-    match parent with
-    | Some p when p.core <> core ->
+    if parent != no_fiber && parent.core <> core then
       (* shipping the fork request to a remote core is itself a small
          message *)
-      now t + Machine.message_latency t.machine ~src:p.core ~dst:core ~words:4
-    | _ -> now t
+      now t
+      + Machine.message_latency t.machine ~src:parent.core ~dst:core ~words:4
+    else now t
   in
-  emit t (Trace.Spawn { child = fid; on_core = core });
+  if tracing t then emit t (Trace.Spawn { child = fid; on_core = core });
   enqueue_runnable t f (fiber_body t f body) ~at;
   f
 
 let yield t =
   let time = now t in
-  suspend t ~tag:"yield" (fun w -> wake_at_gen t w time (Ok ()))
+  suspend t ~tag:"yield" (fun w -> wake_ok t w time ())
 
 let sleep t n =
   assert (n >= 0);
   let time = now t + n in
   suspend t ~tag:"sleep" (fun w ->
-      push_event t time (fun () -> wake_at_gen t w time (Ok ())))
+      push_event t time (fun () -> wake_ok t w time ()))
 
-let kill (_ : t) f =
+let kill t f =
   match f.state with
   | Done -> ()
   | Blocked ->
     f.kill_requested <- true;
-    (match f.on_kill with
-    | Some abort ->
-      f.on_kill <- None;
-      abort Killed_exn
-    | None -> ())
+    (match f.parked with
+    | Parked w -> wake_err t w (now t) Killed_exn
+    | Unparked -> ())
   | Created | Runnable | Running -> f.kill_requested <- true
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
+
+(* Live fibers in fid (= spawn) order. *)
+let live_by_fid t =
+  Fid_table.fold (fun _ f acc -> f :: acc) t.fibers []
+  |> List.sort (fun a b -> Int.compare a.fid b.fid)
 
 let deadlock_report t =
   let buf = Buffer.create 128 in
@@ -514,12 +549,12 @@ let deadlock_report t =
     "no pending events but non-daemon fibers remain blocked:";
   List.iter
     (fun f ->
-      if alive f && not f.daemon then
+      if not f.daemon then
         Buffer.add_string buf
           (Printf.sprintf "\n  fiber %d (%s) on core %d waiting on %s" f.fid
              f.label f.core
              (if f.wait_tag = "" then "<nothing?>" else f.wait_tag)))
-    (List.rev t.fibers);
+    (live_by_fid t);
   Buffer.contents buf
 
 let start t main =
@@ -548,24 +583,25 @@ let step_until t limit =
       ignore (Ctx.activate prev_ctx))
   @@ fun () ->
   let rec loop () =
-    match Pqueue.min t.events with
-    | None -> ()
-    | Some ((time, _), _) when time > limit -> ()
-    | Some _ ->
-      let (time, _), thunk = Pqueue.pop_exn t.events in
-      t.now <- time;
-      if time > t.horizon then t.horizon <- time;
-      t.cnt.events <- t.cnt.events + 1;
-      if t.config.max_events > 0 && t.cnt.events > t.config.max_events
-      then begin
-        (* a crashed main plus looping daemons would otherwise hide
-           the real error behind the cap failure *)
-        match t.main_crash with
-        | Some e -> raise e
-        | None -> failwith "Engine.run: event cap exceeded (runaway loop?)"
-      end;
-      thunk ();
-      loop ()
+    if not (Pqueue.is_empty t.events) then begin
+      let time = Pqueue.min_key t.events in
+      if time <= limit then begin
+        let thunk = Pqueue.pop t.events in
+        t.now <- time;
+        if time > t.horizon then t.horizon <- time;
+        t.cnt.events <- t.cnt.events + 1;
+        if t.config.max_events > 0 && t.cnt.events > t.config.max_events
+        then begin
+          (* a crashed main plus looping daemons would otherwise hide
+             the real error behind the cap failure *)
+          match t.main_crash with
+          | Some e -> raise e
+          | None -> failwith "Engine.run: event cap exceeded (runaway loop?)"
+        end;
+        thunk ();
+        loop ()
+      end
+    end
   in
   loop ()
 
@@ -613,7 +649,7 @@ let inspect t =
         ("pending", Int c.pending);
         ("runq",
          List
-           (List.map (fun (f, _) -> fiber_ref f) (Deque.to_list c.runq)))
+           (List.map fiber_ref (Deque.to_list c.runq)))
       ]
   in
   let fiber_v f =
@@ -626,10 +662,6 @@ let inspect t =
         ("prio", String (match f.prio with High -> "high" | Normal -> "normal"));
         ("daemon", Bool f.daemon)
       ]
-  in
-  let live_fibers =
-    List.filter alive t.fibers
-    |> List.sort (fun a b -> compare a.fid b.fid)
   in
   Assoc
     [ ("now", Int t.now);
@@ -655,5 +687,5 @@ let inspect t =
            ("retries", Int t.cnt.retries)
          ]);
       ("cores", List (Array.to_list (Array.map core_v t.cores)));
-      ("fibers", List (List.map fiber_v live_fibers))
+      ("fibers", List (List.map fiber_v (live_by_fid t)))
     ]

@@ -1,33 +1,32 @@
-(** Mutable binary min-heap priority queue.
+(** Mutable binary min-heap keyed by [int], stable among equal keys.
 
     The discrete-event engine keeps all pending events here, keyed by
-    (virtual time, sequence number); the sequence number makes ordering
-    of simultaneous events deterministic.  The heap is polymorphic in
-    both key and value; keys are compared with a user-supplied total
-    order supplied at creation time. *)
+    virtual time.  Each insertion also takes a sequence number from a
+    counter the queue owns, and bindings with equal keys pop in
+    insertion order, so the ordering of simultaneous events is
+    deterministic.  Keys and sequence numbers live in two [int] arrays
+    beside the value array and are compared with monomorphic [<]:
+    neither {!add} nor {!pop} allocates (beyond amortised growth). *)
 
-type ('k, 'v) t
+type 'a t
 
-val create : ?initial_capacity:int -> ('k -> 'k -> int) -> ('k, 'v) t
-(** [create cmp] is an empty queue ordered by [cmp] (smallest first). *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty queue.  [dummy] fills every slot that
+    holds no binding, so the queue never keeps a popped value
+    reachable. *)
 
-val length : ('k, 'v) t -> int
+val length : 'a t -> int
 
-val is_empty : ('k, 'v) t -> bool
+val is_empty : 'a t -> bool
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** [add t k v] inserts the binding in O(log n). *)
+val add : 'a t -> int -> 'a -> unit
+(** [add t k v] inserts [v] under key [k] in O(log n), after every
+    binding already present with key [k]. *)
 
-val min : ('k, 'v) t -> ('k * 'v) option
-(** [min t] peeks at the smallest binding without removing it. *)
+val min_key : 'a t -> int
+(** The smallest key present.  Raises [Invalid_argument] when empty. *)
 
-val pop : ('k, 'v) t -> ('k * 'v) option
-(** [pop t] removes and returns the smallest binding in O(log n). *)
-
-val pop_exn : ('k, 'v) t -> 'k * 'v
-(** [pop_exn t] is [pop] but raises [Invalid_argument] when empty. *)
-
-val clear : ('k, 'v) t -> unit
-
-val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-(** [iter t f] visits every binding in unspecified (heap) order. *)
+val pop : 'a t -> 'a
+(** Remove and return the value of the first binding in (key,
+    insertion) order, in O(log n).  Raises [Invalid_argument] when
+    empty. *)

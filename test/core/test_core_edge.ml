@@ -257,6 +257,212 @@ let test_trace_block_then_wake () =
     (block_i >= 0 && send_i > block_i)
 
 (* ------------------------------------------------------------------ *)
+(* event core: ordering, registry, inspection, channel naming          *)
+
+let prop_schedule_at_order =
+  (* delays in 0..7 give many ties; every third callback registers a
+     follow-up at its own time, which must fire after every callback
+     already queued for that time *)
+  QCheck.Test.make ~name:"schedule_at order"
+    ~count:100
+    QCheck.(list_of_size Gen.(1 -- 200) (int_bound 7))
+    (fun delays ->
+      let fired = ref [] in
+      let (_ : Runstats.t) =
+        run ~cores:2 (fun () ->
+            let eng = Engine.current () in
+            let base = Engine.now eng in
+            List.iteri
+              (fun i d ->
+                let at = base + (d * 100) in
+                Engine.schedule_at eng at (fun () ->
+                    fired := (d, i) :: !fired;
+                    if i mod 3 = 0 then
+                      Engine.schedule_at eng at (fun () ->
+                          fired := (d, 1_000 + i) :: !fired)))
+              delays;
+            Fiber.sleep 1_000)
+      in
+      let tagged = List.mapi (fun i d -> (d, i)) delays in
+      let expected =
+        List.concat_map
+          (fun d ->
+            let at_d = List.filter (fun (d', _) -> d' = d) tagged in
+            at_d
+            @ List.filter_map
+                (fun (_, i) ->
+                  if i mod 3 = 0 then Some (d, 1_000 + i) else None)
+                at_d)
+          [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      in
+      List.rev !fired = expected)
+
+let deadlock_message main =
+  match run main with
+  | (_ : Runstats.t) -> Alcotest.fail "expected deadlock"
+  | exception Engine.Deadlock msg -> msg
+
+let test_registry_after_many_spawns () =
+  (* the live-fiber table must forget finished fibers: after 10k
+     short-lived spawns the report names the one stuck fiber only *)
+  let msg =
+    deadlock_message (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Fiber.spawn (fun () -> Fiber.yield ()))
+        done;
+        let c : int Chan.t = Chan.rendezvous ~label:"stuck-chan" () in
+        ignore
+          (Fiber.spawn ~on:1 ~label:"stuck" (fun () -> ignore (Chan.recv c))))
+  in
+  Alcotest.(check string) "only the stuck fiber"
+    "no pending events but non-daemon fibers remain blocked:\n\
+    \  fiber 10001 (stuck) on core 1 waiting on recv:stuck-chan"
+    msg
+
+let paused_golden =
+  {|now: 378
+horizon: 5232
+seed: 7
+machine: mesh-1x2 (2 cores)
+machine_facts:
+  cores: 2
+  diameter: 1
+  msg_inject: 24
+  msg_per_hop: 6
+  msg_per_word: 2
+  msg_receive: 24
+  cache_miss: 40
+  coherence_per_hop: 5
+events_pending: 3
+live_fibers: 4
+live_nondaemon: 4
+counters:
+  msgs: 1
+  remote_msgs: 1
+  words_copied: 2
+  hops: 1
+  spawns: 5
+  steals: 0
+  segments: 3
+  events: 8
+  wakes: 6
+  retries: 0
+cores:
+  -
+    core: 0
+    free_at: 408
+    busy: 408
+    pending: 1
+    runq: []
+  -
+    core: 1
+    free_at: 5232
+    busy: 5060
+    pending: 0
+    runq:
+      -
+        fid: 2
+        label: worker-2
+      -
+        fid: 3
+        label: worker-3
+fibers:
+  -
+    fid: 0
+    label: main
+    core: 0
+    state: runnable
+    wait: 
+    prio: normal
+    daemon: false
+  -
+    fid: 2
+    label: worker-2
+    core: 1
+    state: runnable
+    wait: 
+    prio: normal
+    daemon: false
+  -
+    fid: 3
+    label: worker-3
+    core: 1
+    state: runnable
+    wait: 
+    prio: normal
+    daemon: false
+  -
+    fid: 4
+    label: sleeper
+    core: 0
+    state: blocked
+    wait: sleep
+    prio: normal
+    daemon: false
+|}
+
+let test_inspect_paused_shape () =
+  (* a run paused while core 1 has a backlog: the snapshot lists the
+     queued fibers in run-queue order, the pending wake on core 0, the
+     pending events and the live fibers in fid order *)
+  let eng =
+    Engine.create
+      { (Engine.default_config (Machine.mesh ~cores:2)) with seed = 7 }
+  in
+  Engine.start eng (fun () ->
+      let c : int Chan.t = Chan.rendezvous () in
+      for i = 1 to 3 do
+        ignore
+          (Fiber.spawn ~on:1 ~label:(Printf.sprintf "worker-%d" i) (fun () ->
+               Fiber.work 5_000;
+               ignore (Chan.recv c)))
+      done;
+      ignore
+        (Fiber.spawn ~on:0 ~label:"sleeper" (fun () -> Fiber.sleep 100_000));
+      Chan.send c 1);
+  Engine.run_until eng 3_000;
+  Alcotest.(check string) "paused snapshot" paused_golden
+    (Chorus.Inspect.render (Engine.inspect eng));
+  Alcotest.(check int) "events_pending" 3 (Engine.pending_events eng);
+  Engine.run_until eng 20_000;
+  let later = Chorus.Inspect.render (Engine.inspect eng) in
+  let count needle =
+    let n = String.length needle in
+    let rec go i acc =
+      if i + n > String.length later then acc
+      else go (i + 1) (if String.sub later i n = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "workers wait on the anonymous channel" 2
+    (count "wait: recv:chan-0\n");
+  Alcotest.(check int) "runq drained" 2 (count "runq: []\n");
+  Engine.stop eng
+
+let test_anonymous_chan_label () =
+  let anon_id = ref (-1) and labels = ref [] in
+  let msg =
+    deadlock_message (fun () ->
+        let a : int Chan.t = Chan.unbounded () in
+        let e : int Chan.t = Chan.rendezvous ~label:"" () in
+        anon_id := Chan.id a;
+        labels := [ Chan.label a; Chan.label e ];
+        ignore
+          (Fiber.spawn ~on:1 ~label:"anon-reader" (fun () ->
+               ignore (Chan.recv a)));
+        ignore
+          (Fiber.spawn ~on:1 ~label:"empty-reader" (fun () ->
+               ignore (Chan.recv e))))
+  in
+  let anon = Printf.sprintf "chan-%d" !anon_id in
+  Alcotest.(check (list string)) "labels" [ anon; "" ] !labels;
+  Alcotest.(check string) "blocked on the anonymous channel"
+    ("no pending events but non-daemon fibers remain blocked:\n\
+     \  fiber 1 (anon-reader) on core 1 waiting on recv:" ^ anon
+   ^ "\n  fiber 2 (empty-reader) on core 1 waiting on recv:")
+    msg
+
+(* ------------------------------------------------------------------ *)
 (* misc API                                                            *)
 
 let test_rpc_serve_n () =
@@ -444,6 +650,14 @@ let () =
           Alcotest.test_case "many fibers" `Quick test_spawn_many_fibers;
           Alcotest.test_case "now monotonic" `Quick
             test_engine_now_monotonic_across_ops ] );
+      ( "event-core",
+        [ QCheck_alcotest.to_alcotest prop_schedule_at_order;
+          Alcotest.test_case "registry after 10k spawns" `Quick
+            test_registry_after_many_spawns;
+          Alcotest.test_case "paused inspect shape" `Quick
+            test_inspect_paused_shape;
+          Alcotest.test_case "anonymous channel label" `Quick
+            test_anonymous_chan_label ] );
       ( "api",
         [ Alcotest.test_case "serve_n" `Quick test_rpc_serve_n;
           Alcotest.test_case "mailbox size" `Quick

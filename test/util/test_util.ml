@@ -69,39 +69,63 @@ let test_rng_exponential_mean () =
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 
-let test_pqueue_orders () =
-  let q = Pqueue.create compare in
-  List.iter (fun k -> Pqueue.add q k k) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
+let pqueue_drain q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc else go (Pqueue.pop q :: acc)
   in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
+  go []
+
+let test_pqueue_orders () =
+  let q = Pqueue.create ~dummy:0 in
+  List.iter (fun k -> Pqueue.add q k k) [ 5; 1; 4; 1; 3; 9; 0 ];
+  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (pqueue_drain q)
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains any input sorted" ~count:200
     QCheck.(list small_int)
     (fun xs ->
-      let q = Pqueue.create compare in
-      List.iter (fun x -> Pqueue.add q x ()) xs;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (k, ()) -> drain (k :: acc)
+      (* values remember their insertion index: the drain is sorted by
+         key and, among equal keys, in insertion order *)
+      let q = Pqueue.create ~dummy:(0, 0) in
+      List.iteri (fun i x -> Pqueue.add q x (x, i)) xs;
+      let expected =
+        List.mapi (fun i x -> (x, i)) xs
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
       in
-      drain [] = List.sort compare xs)
+      pqueue_drain q = expected)
 
 let test_pqueue_fifo_ties () =
-  (* (time, seq) keys with equal time keep sequence order *)
-  let q = Pqueue.create compare in
-  List.iteri (fun i v -> Pqueue.add q (42, i) v) [ "a"; "b"; "c"; "d" ];
-  let rec drain acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "tie order" [ "a"; "b"; "c"; "d" ] (drain [])
+  (* equal keys pop in insertion order, also when interleaved with
+     smaller and larger keys *)
+  let q = Pqueue.create ~dummy:"" in
+  List.iter (fun v -> Pqueue.add q 42 v) [ "a"; "b" ];
+  Pqueue.add q 50 "late";
+  Pqueue.add q 7 "early";
+  List.iter (fun v -> Pqueue.add q 42 v) [ "c"; "d" ];
+  Alcotest.(check int) "min key" 7 (Pqueue.min_key q);
+  Alcotest.(check (list string))
+    "tie order" [ "early"; "a"; "b"; "c"; "d"; "late" ] (pqueue_drain q)
+
+let test_pqueue_pop_releases () =
+  (* a popped value must not stay reachable from the queue's arrays
+     while the queue itself lives on *)
+  let q = Pqueue.create ~dummy:(ref 0) in
+  let w = Weak.create 4 in
+  List.iter
+    (fun k ->
+      let v = ref k in
+      Weak.set w k (Some v);
+      Pqueue.add q k v)
+    [ 3; 1; 2 ];
+  List.iter
+    (fun k ->
+      Alcotest.(check int) "key order" k !(Pqueue.pop q);
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "value %d collectable once popped" k)
+        true (Weak.get w k = None);
+      Alcotest.(check int) "remaining" (3 - k) (Pqueue.length q))
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Deque                                                               *)
@@ -353,6 +377,8 @@ let () =
       ( "pqueue",
         [ Alcotest.test_case "orders" `Quick test_pqueue_orders;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
+          Alcotest.test_case "pop releases the value" `Quick
+            test_pqueue_pop_releases;
           qt prop_pqueue_sorts ] );
       ( "deque",
         [ Alcotest.test_case "basics" `Quick test_deque_basics;
