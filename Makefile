@@ -81,10 +81,14 @@ bench:
 # 2 if the selftest fails.  --domains 0 shards the campaign across
 # every available core (auto-detected, so a single-core CI host runs
 # it sequentially at unchanged cost); the merged report is
-# byte-identical at any width.
+# byte-identical at any width.  The second campaign is a wide disk
+# sweep (~2s): it is the one that found the block cache shard dying
+# on an exhausted read retry and leaving the store hung.
 chaos-smoke:
 	dune exec bin/chorus_sim.exe -- chaos --disk-runs 30 --kv-runs 6 \
 		--selftest --domains 0
+	dune exec bin/chorus_sim.exe -- chaos --disk-runs 4000 --kv-runs 0 \
+		--seed 1 --domains 0
 
 # Cluster hot-path gate: E24 end-to-end (open-loop Zipf load through
 # client pipelining, group-commit batching and leader leases) plus a

@@ -16,7 +16,9 @@
    so a driver can check both host-side overhead and that metrics /
    tracing never perturb virtual time.
 
-   Usage: main.exe [--tables-only | --bechamel-only] *)
+   Usage: main.exe [--tables-only | --bechamel-only | --<name>-only]
+   where <name> is one of the BENCH_<name>.json files listed at the
+   bottom. *)
 
 module Experiments = Chorus_experiments.Experiments
 module Machine = Chorus_machine.Machine
@@ -188,6 +190,12 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 (* Part 3: machine-readable results                                    *)
 
+let save file b =
+  let oc = open_out file in
+  output_string oc (Buffer.contents b);
+  close_out oc;
+  Printf.printf "\nwrote %s\n" file
+
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -247,10 +255,7 @@ let write_json file bech_rows =
         (Printf.sprintf "\n    \"%s\": %d" (json_escape name) cycles))
     (fixed_scenarios ());
   Buffer.add_string b "\n  }\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: cluster macro-benchmark                                     *)
@@ -357,10 +362,7 @@ let write_cluster_json file =
   Buffer.add_string b ",\n";
   add_points "write_path_saturation" writes;
   Buffer.add_string b "\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: service-plane overload macro-benchmark                      *)
@@ -405,10 +407,7 @@ let write_overload_json file =
            s.shed s.hwm s.p50 s.p99 s.goodput))
     rows;
   Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 6: chaos campaign                                              *)
@@ -431,15 +430,16 @@ let write_chaos_json ?(domains = 1) file =
   print_endline " Chaos: fault-space campaign with oracles";
   print_endline "=====================================================\n";
   let disk_runs = 160 and kv_runs = 48 and seed = 42 in
+  let runs = [ (Chaos.Disk, disk_runs); (Chaos.Kv, kv_runs) ] in
   let t0 = Unix.gettimeofday () in
-  let r = Chaos.campaign ~disk_runs ~kv_runs ~seed () in
+  let r = Chaos.campaign ~runs ~seed () in
   let dt1 = Unix.gettimeofday () -. t0 in
   let rps1 = float_of_int r.Chaos.runs /. dt1 in
   let rps_n =
     if domains <= 1 then rps1
     else begin
       let t0 = Unix.gettimeofday () in
-      let rn = Chaos.campaign ~disk_runs ~kv_runs ~domains ~seed () in
+      let rn = Chaos.campaign ~runs ~domains ~seed () in
       let dtn = Unix.gettimeofday () -. t0 in
       if not (String.equal rn.Chaos.campaign_digest r.Chaos.campaign_digest)
       then begin
@@ -499,10 +499,7 @@ let write_chaos_json ?(domains = 1) file =
         \"replay_identical\": %b }\n"
        st.Chaos.caught st.Chaos.minimal_faults st.Chaos.st_replay_identical);
   Buffer.add_string b "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 7: projected filesystem                                        *)
@@ -537,7 +534,11 @@ let write_vfs_json file =
       [ `Block; `Reject; `Shed_oldest ]
   in
   let projfs_runs = 12 and seed = 42 in
-  let r = Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~projfs_runs ~seed () in
+  let r =
+    Chaos.campaign
+      ~runs:[ (Chaos.Disk, 0); (Chaos.Kv, 0); (Chaos.Projfs, projfs_runs) ]
+      ~seed ()
+  in
   Printf.printf
     "chaos: %d provider-kill runs  ops %d  injected %d  violations %d\n"
     r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
@@ -576,10 +577,7 @@ let write_vfs_json file =
        projfs_runs r.Chaos.runs r.Chaos.total_ops r.Chaos.faults_injected
        (List.length r.Chaos.violations));
   Buffer.add_string b "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 (* ------------------------------------------------------------------ *)
 (* Part 8: gray failure                                                *)
@@ -618,7 +616,9 @@ let write_gray_json file =
   let gray_runs = 50 and seed = 42 in
   let t0 = Unix.gettimeofday () in
   let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~gray_runs ~seed ()
+    Chaos.campaign
+      ~runs:[ (Chaos.Disk, 0); (Chaos.Kv, 0); (Chaos.Gray, gray_runs) ]
+      ~seed ()
   in
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf
@@ -674,10 +674,7 @@ let write_gray_json file =
     (Printf.sprintf "    \"campaign_digest\": \"%s\"\n"
        r.Chaos.campaign_digest);
   Buffer.add_string b "  }\n}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  save file b
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -698,25 +695,25 @@ let () =
     | 0 -> Chorus_par.Pool.recommended ()
     | n -> n
   in
-  if List.mem "--overload-only" args then
-    write_overload_json "BENCH_overload.json"
-  else if List.mem "--chaos-only" args then
-    write_chaos_json ~domains "BENCH_chaos.json"
-  else if List.mem "--vfs-only" args then write_vfs_json "BENCH_vfs.json"
-  else if List.mem "--gray-only" args then write_gray_json "BENCH_gray.json"
-  else if List.mem "--cluster-only" args then
-    write_cluster_json "BENCH_cluster.json"
-  else begin
+  (* every deterministic BENCH_<name>.json, in the order a full run
+     writes them; --<name>-only writes just that one *)
+  let benches =
+    [ ("cluster", write_cluster_json);
+      ("overload", write_overload_json);
+      ("chaos", write_chaos_json ~domains);
+      ("vfs", write_vfs_json);
+      ("gray", write_gray_json) ]
+  in
+  let write (name, w) = w (Printf.sprintf "BENCH_%s.json" name) in
+  match
+    List.find_opt (fun (name, _) -> List.mem ("--" ^ name ^ "-only") args) benches
+  with
+  | Some bench -> write bench
+  | None ->
     let tables = not (List.mem "--bechamel-only" args) in
     let bech = not (List.mem "--tables-only" args) in
     if tables then run_tables ();
     if bech then begin
-      let rows = run_bechamel () in
-      write_json "BENCH_obs.json" rows;
-      write_cluster_json "BENCH_cluster.json";
-      write_overload_json "BENCH_overload.json";
-      write_chaos_json ~domains "BENCH_chaos.json";
-      write_vfs_json "BENCH_vfs.json";
-      write_gray_json "BENCH_gray.json"
+      write_json "BENCH_obs.json" (run_bechamel ());
+      List.iter write benches
     end
-  end

@@ -620,42 +620,22 @@ let chaos_cmd =
   in
   let module Chaos = Chorus_chaos.Chaos in
   let module Schedule = Chorus_chaos.Schedule in
-  let disk_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "disk-runs" ] ~doc:"Disk-scenario schedules to explore.")
-  in
-  let kv_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "kv-runs" ] ~doc:"Cluster-scenario schedules to explore.")
-  in
-  let projfs_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "projfs-runs" ]
-          ~doc:
-            "Projected-filesystem schedules to explore (provider kills, \
-             fabric faults; placeholder-invariant oracle).")
-  in
-  let lease_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "lease-runs" ]
-          ~doc:
-            "Leased-cluster schedules to explore (batched + leased hot \
-             path under leader kills and partition-ish fabric faults; \
-             the linearizability oracle vetoes stale leased reads).")
-  in
-  let gray_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "gray-runs" ]
-          ~doc:
-            "Gray-failure schedules to explore (per-link delay and \
-             asymmetric partition windows against clients running \
-             circuit breakers and per-op deadline budgets; the \
-             fail-fast liveness oracle joins linearizability).")
+  (* one --<name>-runs flag per registered scenario *)
+  let runs_arg =
+    List.fold_right
+      (fun scen acc ->
+        let sp = Chaos.spec scen in
+        let arg =
+          Arg.(
+            value
+            & opt int sp.Chaos.default_runs
+            & info [ sp.Chaos.name ^ "-runs" ]
+                ~doc:
+                  (Printf.sprintf "Schedules to explore in the %s scenario: %s."
+                     sp.Chaos.name sp.Chaos.doc))
+        in
+        Term.(const (fun n rest -> (scen, n) :: rest) $ arg $ acc))
+      Chaos.all (Term.const [])
   in
   let selftest_arg =
     Arg.(
@@ -665,14 +645,10 @@ let chaos_cmd =
             "Also plant a history corruption and verify the oracles \
              catch, shrink and replay it.")
   in
-  let go disk_runs kv_runs projfs_runs lease_runs gray_runs selftest seed
-      domains =
+  let go runs selftest seed domains =
     let domains = resolve_domains domains in
     let t0 = Unix.gettimeofday () in
-    let r =
-      Chaos.campaign ~disk_runs ~kv_runs ~projfs_runs ~lease_runs ~gray_runs
-        ~domains ~seed ()
-    in
+    let r = Chaos.campaign ~runs ~domains ~seed () in
     let dt = Unix.gettimeofday () -. t0 in
     let t =
       Tablefmt.create
@@ -697,12 +673,7 @@ let chaos_cmd =
     List.iter
       (fun v ->
         Printf.printf "VIOLATION (%s): %s\n  schedule: %s\n  minimal:  %s\n  replay-identical: %b\n"
-          (match v.Chaos.vscenario with
-          | Chaos.Disk -> "disk"
-          | Chaos.Kv -> "kv"
-          | Chaos.Kv_lease -> "kv-lease"
-          | Chaos.Projfs -> "projfs"
-          | Chaos.Gray -> "gray")
+          (Chaos.spec v.Chaos.vscenario).Chaos.name
           v.Chaos.first
           (Schedule.to_string v.Chaos.schedule)
           (Schedule.to_string v.Chaos.minimal)
@@ -723,8 +694,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const go $ disk_arg $ kv_arg $ projfs_arg $ lease_arg $ gray_arg
-      $ selftest_arg $ seed_arg $ domains_arg)
+      const go $ runs_arg $ selftest_arg $ seed_arg $ domains_arg)
 
 (* --------------------------------------------------------------- *)
 (* replay: time-travel debugging over the chaos scenarios            *)
@@ -743,14 +713,19 @@ let replay_cmd =
   let module Schedule = Chorus_chaos.Schedule in
   let module Snapshot = Chorus_debug.Snapshot in
   let module Replay = Chorus_debug.Replay in
+  let scenario_names sep f =
+    String.concat sep (List.map (fun s -> f (Chaos.spec s)) Chaos.all)
+  in
   let scenario_arg =
     Arg.(
       value & opt string "disk"
       & info [ "scenario" ] ~docv:"NAME"
           ~doc:
-            "Chaos scenario: $(b,disk), $(b,cluster) (alias $(b,kv)), \
-             $(b,lease) (alias $(b,kv-lease)), $(b,projfs) or \
-             $(b,gray).")
+            (Printf.sprintf "Chaos scenario: %s."
+               (scenario_names ", " (fun sp ->
+                    String.concat " or "
+                      (List.map (Printf.sprintf "$(b,%s)")
+                         (sp.Chaos.name :: sp.Chaos.aliases))))))
   in
   let index_arg =
     Arg.(
@@ -807,15 +782,11 @@ let replay_cmd =
   in
   let go scenario seed index schedule at diff against drop json =
     let scen =
-      match scenario with
-      | "disk" -> Chaos.Disk
-      | "cluster" | "kv" -> Chaos.Kv
-      | "lease" | "kv-lease" -> Chaos.Kv_lease
-      | "projfs" -> Chaos.Projfs
-      | "gray" -> Chaos.Gray
-      | s ->
-        Printf.eprintf
-          "unknown scenario %S (disk|cluster|lease|projfs|gray)\n" s;
+      match Chaos.of_name scenario with
+      | Some scen -> scen
+      | None ->
+        Printf.eprintf "unknown scenario %S (%s)\n" scenario
+          (scenario_names "|" (fun sp -> sp.Chaos.name));
         exit 2
     in
     let sch =
@@ -828,12 +799,7 @@ let replay_cmd =
       if json then print_endline (Snapshot.to_json r.Replay.snapshot)
       else begin
         Printf.printf "replay %s  %s\npaused at t=%d  (%d trace records)\n"
-          (match scen with
-          | Chaos.Disk -> "disk"
-          | Chaos.Kv -> "cluster"
-          | Chaos.Kv_lease -> "kv-lease"
-          | Chaos.Projfs -> "projfs"
-          | Chaos.Gray -> "gray")
+          (Chaos.spec scen).Chaos.name
           (Schedule.to_string sch) at
           (List.length r.Replay.trace);
         print_string (Snapshot.render r.Replay.snapshot)

@@ -14,7 +14,9 @@
     subschedules ({!shrink}) — FoundationDB's simulation discipline,
     not spray-and-pray.
 
-    Two scenarios cover the stack's two service planes:
+    Five scenarios, one {!spec} each in a registry ({!all}) from which
+    the campaign, the CLI's [--<name>-runs] flags and replay's
+    [--scenario] lookup are all derived:
 
     - {!Disk}: a supervised KV store over {!Chorus_kernel.Bcache} and
       {!Chorus_kernel.Blockdev} on one 8-core node.  Faults: service
@@ -97,6 +99,32 @@ type prepared = {
           ran to completion under {!Chorus.Runtime.run} *)
 }
 
+type spec = {
+  name : string;
+      (** canonical name: the CLI flag [--<name>-runs], replay's
+          [--scenario] value and the label in violation reports *)
+  aliases : string list;  (** further names {!of_name} accepts *)
+  doc : string;  (** one line for help text *)
+  default_runs : int;
+      (** campaign runs when {!campaign} is not told.  A new scenario
+          takes 0: campaigns that name only some scenarios then keep
+          their digests. *)
+  fault : Chorus_util.Rng.t -> Schedule.fault;
+      (** draw one fault for a {!gen}erated schedule *)
+  prepare : corrupt:bool -> Schedule.t -> prepared;
+      (** the scenario body; see {!val-prepare} *)
+}
+
+val all : scenario list
+(** Every scenario, in campaign task order (not declaration order):
+    Disk, Kv, Projfs, Kv_lease, Gray.  A new scenario is a constructor
+    plus one registry entry in chaos.ml. *)
+
+val spec : scenario -> spec
+
+val of_name : string -> scenario option
+(** Resolve a canonical name or alias. *)
+
 val prepare : ?corrupt:bool -> scenario -> Schedule.t -> prepared
 (** The scenario split into its replayable phases.  [run_one] is
     [prepare] composed with a full run; the time-travel debugger
@@ -115,8 +143,8 @@ val run_one : ?corrupt:bool -> scenario -> Schedule.t -> outcome
 val gen : scenario -> seed:int -> index:int -> Schedule.t
 (** The campaign's schedule enumerator: deterministic in
     [(seed, index)].  Index 0 is always the fault-free schedule (the
-    sanity point); higher indices carry 1–3 faults with
-    seed-derived kinds, windows and probabilities. *)
+    sanity point); higher indices carry 1–3 faults drawn by the
+    scenario's {!spec} [fault]. *)
 
 val shrink : ?corrupt:bool -> scenario -> Schedule.t -> Schedule.t
 (** Greedy ddmin-lite: repeatedly drop any single fault whose removal
@@ -147,19 +175,16 @@ type report = {
 }
 
 val campaign :
-  ?disk_runs:int -> ?kv_runs:int -> ?projfs_runs:int -> ?lease_runs:int ->
-  ?gray_runs:int -> ?domains:int -> seed:int -> unit -> report
-(** Enumerate and run [disk_runs] {!Disk} schedules (default 24),
-    [kv_runs] {!Kv} schedules (default 8), [projfs_runs] {!Projfs}
-    schedules, [lease_runs] {!Kv_lease} schedules and [gray_runs]
-    {!Gray} schedules (all three default 0 —
-    opt-in, so the standing chaos benchmark's record is unchanged),
-    checking every oracle after every run; violations are
-    replay-verified and shrunk.  [domains] (default 1) shards the runs
-    across a {!Chorus_par.Pool}: every run is an independent engine
-    with its own context, and results merge in task order, so the
-    report — digest included — is byte-identical at any domain
-    count. *)
+  ?runs:(scenario * int) list -> ?domains:int -> seed:int -> unit -> report
+(** Enumerate and run [n] schedules of each scenario listed in [runs];
+    a scenario not listed takes its [default_runs] (24 {!Disk}, 8
+    {!Kv}, 0 for the rest).  Every oracle is checked after every run;
+    violations are replay-verified and shrunk.  Tasks are laid out in
+    {!all} order whatever the order of [runs].  [domains] (default 1)
+    shards the runs across a {!Chorus_par.Pool}: every run is an
+    independent engine with its own context, and results merge in task
+    order, so the report — digest included — is byte-identical at any
+    domain count. *)
 
 type selftest_result = {
   caught : bool;  (** the planted violation was detected *)

@@ -43,11 +43,9 @@ val create :
     off, leaving the client byte-identical to the pre-breaker one. *)
 
 val put : t -> string -> string -> [ `Ok | `Net_fail ]
-(** [`Net_fail] means every attempt was exhausted without a response —
-    the same typed verdict (and the same name) as
-    {!Chorus_net.Netkv.get}'s, so callers handle single-node and
-    clustered give-ups with one pattern.  The operation may or may not
-    have taken effect: a lost ack is not a lost write. *)
+(** [`Net_fail] means every attempt was exhausted without a response.
+    The operation may or may not have taken effect: a lost ack is not
+    a lost write. *)
 
 val get : t -> string -> [ `Found of string | `Miss | `Net_fail ]
 

@@ -571,7 +571,7 @@ let start t main =
 
 let stop t = t.started <- false
 
-let step_until t limit =
+let with_current t f =
   let stack = Domain.DLS.get stepping_key in
   stack := t :: !stack;
   let prev_ctx = Ctx.activate (Some t.ctx) in
@@ -581,7 +581,10 @@ let step_until t limit =
       | u :: rest when u == t -> stack := rest
       | _ -> assert false);
       ignore (Ctx.activate prev_ctx))
-  @@ fun () ->
+    f
+
+let step_until t limit =
+  with_current t @@ fun () ->
   let rec loop () =
     if not (Pqueue.is_empty t.events) then begin
       let time = Pqueue.min_key t.events in

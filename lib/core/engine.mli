@@ -70,6 +70,12 @@ val current : unit -> t
     (per-domain, so concurrent engines on different domains each see
     their own).  Raises [Failure] outside of [run]. *)
 
+val with_current : t -> (unit -> 'a) -> 'a
+(** [with_current t f] runs [f] with [t] as {!current} and its context
+    active, as while [t] steps its events — how a paused run's state
+    is read by code that asks the running engine (e.g. for
+    [Fiber.now]). *)
+
 (** {1 Stepped execution (the time-travel replay surface)}
 
     [run t main] is equivalent to [start t main; finish t].  A replay

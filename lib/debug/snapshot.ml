@@ -31,8 +31,10 @@ let value_of_metrics snap =
        snap)
 
 let capture ?at eng =
-  (* a paused stepped run is not "current" on any domain, so read the
-     inspect providers and metrics out of the engine's own context *)
+  (* a paused stepped run is not "current" on any domain: make it so
+     while its providers run (some read the virtual clock), and read
+     the providers and metrics out of the engine's own context *)
+  Engine.with_current eng @@ fun () ->
   let ctx = Engine.ctx eng in
   let metrics =
     match Metrics.installed_in ctx with

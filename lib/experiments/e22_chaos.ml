@@ -25,7 +25,7 @@ module Schedule = Chorus_chaos.Schedule
 let run ~quick ~seed =
   let disk_runs = pick ~quick 24 160 in
   let kv_runs = pick ~quick 8 48 in
-  let r = Chaos.campaign ~disk_runs ~kv_runs ~seed () in
+  let r = Chaos.campaign ~runs:[ (Chaos.Disk, disk_runs); (Chaos.Kv, kv_runs) ] ~seed () in
   let t = Tablefmt.create ~title:"chaos campaign" ~columns:[ ("metric", Tablefmt.Left); ("value", Tablefmt.Right) ] in
   Tablefmt.add_row t [ "runs"; string_of_int r.Chaos.runs ];
   Tablefmt.add_row t [ "client ops recorded"; string_of_int r.Chaos.total_ops ];

@@ -10,7 +10,9 @@ type req =
   | Zero of int
   | Flush
 
-type resp = Data of string | Done
+(* [Failed]: the refill gave up on a device read error.  The shard
+   answers instead of dying, and the caller re-raises. *)
+type resp = Data of string | Done | Failed
 
 type shard_state = {
   bufs : (int, buf) Hashtbl.t;
@@ -50,7 +52,7 @@ let read_with_retry t dev block =
    requested bytes for reads, a bare ack otherwise *)
 let words_of_resp = function
   | Data s -> 2 + ((String.length s + 7) / 8)
-  | Done -> 2
+  | Done | Failed -> 2
 
 let lookup t st dev block =
   st.tick <- st.tick + 1;
@@ -82,7 +84,7 @@ let lookup t st dev block =
     Hashtbl.replace st.bufs block b;
     b
 
-let handle t st dev = function
+let serve t st dev = function
   | Get block ->
     let b = lookup t st dev block in
     Data (Bytes.to_string b.data)
@@ -111,6 +113,9 @@ let handle t st dev = function
       st.bufs;
     Done
 
+let handle t st dev req =
+  try serve t st dev req with Blockdev.Io_error -> Failed
+
 let start ?(shards = 8) ?(capacity = 1024) ?(spread = true) ?config ~dev () =
   let t =
     { eps =
@@ -135,38 +140,32 @@ let start ?(shards = 8) ?(capacity = 1024) ?(spread = true) ?config ~dev () =
 
 let shard_for t block = t.eps.(block mod Array.length t.eps)
 
-let get t block =
-  match Svc.call ~words:4 (shard_for t block) (Get block) with
-  | Data d -> d
-  | Done -> assert false
+(* a shard whose refill gave up answers [Failed]; the device error
+   surfaces in the caller's fiber *)
+let call ?words ep req =
+  match Svc.call ?words ep req with
+  | Failed -> raise Blockdev.Io_error
+  | resp -> resp
+
+let data = function Data d -> d | Done | Failed -> assert false
+
+let ack = function Done -> () | Data _ | Failed -> assert false
+
+let get t block = data (call ~words:4 (shard_for t block) (Get block))
 
 let get_range t block ~off ~len =
-  match
-    Svc.call ~words:5 (shard_for t block) (Get_range { block; off; len })
-  with
-  | Data d -> d
-  | Done -> assert false
+  data (call ~words:5 (shard_for t block) (Get_range { block; off; len }))
 
 let put t block ~off data =
-  match
-    Svc.call
-      ~words:(4 + ((String.length data + 7) / 8))
-      (shard_for t block)
-      (Put { block; off; data })
-  with
-  | Done -> ()
-  | Data _ -> assert false
+  ack
+    (call
+       ~words:(4 + ((String.length data + 7) / 8))
+       (shard_for t block)
+       (Put { block; off; data }))
 
-let zero t block =
-  match Svc.call ~words:4 (shard_for t block) (Zero block) with
-  | Done -> ()
-  | Data _ -> assert false
+let zero t block = ack (call ~words:4 (shard_for t block) (Zero block))
 
-let flush t =
-  Array.iter
-    (fun ep ->
-      match Svc.call ep Flush with Done -> () | Data _ -> assert false)
-    t.eps
+let flush t = Array.iter (fun ep -> ack (call ep Flush)) t.eps
 
 let hits t = t.hits
 

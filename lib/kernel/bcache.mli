@@ -46,7 +46,10 @@ val misses : t -> int
 val read_retries : t -> int
 (** Transient {!Blockdev} read faults absorbed by the refill path:
     each fault costs one bounded exponential-backoff retry (up to 10
-    attempts, 2k–32k cycle sleeps) before the cache gives up and lets
-    {!Blockdev.Io_error} surface.  Only the faulted shard stalls. *)
+    attempts, 2k–32k cycle sleeps) before the cache gives up.  Only
+    the faulted shard stalls, and giving up does not kill it: the
+    calling {!get}, {!get_range}, {!put}, {!zero} or {!flush} raises
+    {!Blockdev.Io_error} in the caller's fiber, and the shard serves
+    its next request. *)
 
 val shards : t -> int

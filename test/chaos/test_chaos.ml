@@ -149,7 +149,7 @@ let test_run_replays () =
   Alcotest.(check bool) "history non-trivial" true (a.Chaos.ops >= 20)
 
 let test_campaign_green () =
-  let r = Chaos.campaign ~disk_runs:6 ~kv_runs:2 ~seed:42 () in
+  let r = Chaos.campaign ~runs:[ (Chaos.Disk, 6); (Chaos.Kv, 2) ] ~seed:42 () in
   Alcotest.(check int) "runs" 8 r.Chaos.runs;
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations);
   Alcotest.(check bool) "ops recorded" true (r.Chaos.total_ops > 100)
@@ -182,7 +182,9 @@ let test_lease_kill_no_stale_reads () =
 
 let test_lease_campaign_green () =
   let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~lease_runs:6 ~seed:17 ()
+    Chaos.campaign
+      ~runs:[ (Chaos.Disk, 0); (Chaos.Kv, 0); (Chaos.Kv_lease, 6) ]
+      ~seed:17 ()
   in
   Alcotest.(check int) "runs" 6 r.Chaos.runs;
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations)
@@ -203,7 +205,9 @@ let test_gray_run_replays () =
 
 let test_gray_campaign_green () =
   let r =
-    Chaos.campaign ~disk_runs:0 ~kv_runs:0 ~gray_runs:8 ~seed:17 ()
+    Chaos.campaign
+      ~runs:[ (Chaos.Disk, 0); (Chaos.Kv, 0); (Chaos.Gray, 8) ]
+      ~seed:17 ()
   in
   Alcotest.(check int) "runs" 8 r.Chaos.runs;
   Alcotest.(check int) "all oracles green" 0 (List.length r.Chaos.violations);
@@ -211,6 +215,57 @@ let test_gray_campaign_green () =
     (List.exists
        (fun (k, n) -> (k = "link-delay" || k = "partition") && n > 0)
        r.Chaos.kinds)
+
+(* A Bcache shard whose refill exhausts its read retries used to die
+   with the request, leaving the supervised store blocked forever on
+   its reply.  This is the minimal schedule that showed it. *)
+let test_disk_read_errors_recover () =
+  let sch = Schedule.of_string "seed=27126 disk(p=0.70)@55846+259275" in
+  Alcotest.(check (list string))
+    "no violations" [] (Chaos.run_one Chaos.Disk sch).Chaos.violations
+
+(* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+
+let test_of_name () =
+  List.iter
+    (fun (n, s) ->
+      Alcotest.(check bool) ("resolves " ^ n) true (Chaos.of_name n = Some s))
+    [ ("disk", Chaos.Disk); ("kv", Chaos.Kv); ("cluster", Chaos.Kv);
+      ("projfs", Chaos.Projfs); ("lease", Chaos.Kv_lease);
+      ("kv-lease", Chaos.Kv_lease); ("gray", Chaos.Gray) ];
+  List.iter
+    (fun s ->
+      let sp = Chaos.spec s in
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) ("registry name " ^ n) true
+            (Chaos.of_name n = Some s))
+        (sp.Chaos.name :: sp.Chaos.aliases))
+    Chaos.all;
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("rejects " ^ n) true (Chaos.of_name n = None))
+    [ ""; "Disk"; "kv_lease"; "nope" ]
+
+let all_five = [ (Chaos.Disk, 4); (Chaos.Kv, 2); (Chaos.Projfs, 2);
+                 (Chaos.Kv_lease, 2); (Chaos.Gray, 2) ]
+
+(* every scenario, pinned: any change to a scenario's body, fault
+   generator or the campaign's task order moves this digest *)
+let test_pinned_campaign () =
+  let r = Chaos.campaign ~runs:all_five ~seed:42 () in
+  Alcotest.(check int) "runs" 12 r.Chaos.runs;
+  Alcotest.(check int) "ops" 302 r.Chaos.total_ops;
+  Alcotest.(check int) "violations" 0 (List.length r.Chaos.violations);
+  Alcotest.(check string) "digest" "a4e320241a027e8c08a5806c4c828eee"
+    r.Chaos.campaign_digest
+
+let test_runs_order_irrelevant () =
+  let digest runs = (Chaos.campaign ~runs ~seed:3 ()).Chaos.campaign_digest in
+  let runs = [ (Chaos.Disk, 2); (Chaos.Kv, 0); (Chaos.Projfs, 1) ] in
+  Alcotest.(check string) "reversed ~runs, same digest" (digest runs)
+    (digest (List.rev runs))
 
 let test_selftest () =
   let st = Chaos.selftest ~seed:11 in
@@ -241,4 +296,11 @@ let () =
           Alcotest.test_case "lease-campaign" `Quick test_lease_campaign_green;
           Alcotest.test_case "gray-replays" `Quick test_gray_run_replays;
           Alcotest.test_case "gray-campaign" `Quick test_gray_campaign_green;
-          Alcotest.test_case "selftest" `Quick test_selftest ] ) ]
+          Alcotest.test_case "disk-read-errors-recover" `Quick
+            test_disk_read_errors_recover;
+          Alcotest.test_case "selftest" `Quick test_selftest ] );
+      ( "registry",
+        [ Alcotest.test_case "of-name" `Quick test_of_name;
+          Alcotest.test_case "pinned-campaign" `Quick test_pinned_campaign;
+          Alcotest.test_case "runs-order-irrelevant" `Quick
+            test_runs_order_irrelevant ] ) ]

@@ -1,6 +1,6 @@
 (* Tests for the time-travel replay debugger: snapshot determinism
    (same scenario, schedule and pause time => byte-identical dump,
-   across both chaos scenarios), structural diffing, first-divergence
+   across every registered chaos scenario), structural diffing, first-divergence
    detection on a failing/passing schedule pair, schedule parsing
    round-trips, engine stepping, and Inspect rendering invariants. *)
 
@@ -69,6 +69,27 @@ let test_determinism_projfs () =
     (contains text "projfs/hydration");
   Alcotest.(check bool) "projfs: hydration endpoint inbox present" true
     (contains text "svc/projfs.hydrate")
+
+(* every registered scenario, paused just inside its first fault *)
+let test_determinism_all () =
+  List.iter
+    (fun scenario ->
+      let sch = Chaos.gen scenario ~seed:7 ~index:2 in
+      let at =
+        match sch.Schedule.faults with
+        | ( Schedule.Kill_node { at; _ } | Kill_point { at; _ }
+          | Frame_loss { at; _ } | Frame_dup { at; _ }
+          | Frame_reorder { at; _ } | Frame_delay { at; _ }
+          | Disk_errors { at; _ } | Kill_provider { at; _ }
+          | Link_delay { at; _ } | Partition { at; _ } )
+          :: _ ->
+          at + 50_000
+        | [] -> Alcotest.fail "index 2 carries a fault"
+      in
+      let name = (Chaos.spec scenario).Chaos.name in
+      let r = check_deterministic name scenario sch ~at in
+      Alcotest.(check bool) (name ^ ": traced") true (r.Replay.trace <> []))
+    Chaos.all
 
 let test_snapshot_not_observer_effect () =
   (* capturing a snapshot mid-run must not change where the run goes:
@@ -169,7 +190,7 @@ let test_schedule_roundtrip () =
           printed
           (Schedule.to_string (Schedule.of_string printed))
       done)
-    [ Chaos.Disk; Chaos.Kv; Chaos.Projfs ];
+    Chaos.all;
   Alcotest.(check string) "kill-provider parses without parens"
     "seed=5 kill-provider@300000+120000"
     (Schedule.to_string
@@ -250,6 +271,7 @@ let () =
           Alcotest.test_case "determinism-kv" `Quick test_determinism_kv;
           Alcotest.test_case "determinism-projfs" `Quick
             test_determinism_projfs;
+          Alcotest.test_case "determinism-all" `Quick test_determinism_all;
           Alcotest.test_case "no-observer-effect" `Quick
             test_snapshot_not_observer_effect ] );
       ( "diff",

@@ -88,6 +88,25 @@ let test_blockdev_read_faults_and_retry () =
   in
   ()
 
+let test_bcache_read_error_surfaces_in_caller () =
+  (* a refill that exhausts its retries fails the call, not the shard:
+     the caller sees Io_error and the same shard serves the next get *)
+  let (_ : Runstats.t) =
+    run (fun () ->
+        let dev = Blockdev.start ~disk:Diskmodel.default () in
+        Blockdev.write dev 3 (Bytes.make Fsspec.block_size 'z');
+        let cache = Bcache.start ~shards:1 ~capacity:4 ~dev () in
+        Blockdev.set_read_fault dev ~p:0.999 ~seed:1 ();
+        (match Bcache.get cache 3 with
+        | _ -> Alcotest.fail "get succeeded through a dead device"
+        | exception Blockdev.Io_error -> ());
+        Alcotest.(check int) "every retry spent" 9 (Bcache.read_retries cache);
+        Blockdev.set_read_fault dev ();
+        Alcotest.(check char) "same shard serves again" 'z'
+          (Bcache.get cache 3).[0])
+  in
+  ()
+
 let test_blockdev_single_threaded () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -1005,6 +1024,8 @@ let () =
           Alcotest.test_case "hit/miss counters" `Quick
             test_bcache_hit_miss_counters;
           Alcotest.test_case "get_range" `Quick test_bcache_get_range;
+          Alcotest.test_case "read error surfaces in caller" `Quick
+            test_bcache_read_error_surfaces_in_caller;
           Alcotest.test_case "driver priority" `Quick
             test_blockdev_priority_accepted ] );
       ( "cgalloc",
