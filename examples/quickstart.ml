@@ -8,7 +8,7 @@ module Machine = Chorus_machine.Machine
 module Runtime = Chorus.Runtime
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Rpc = Chorus.Rpc
+module Svc = Chorus_svc.Svc
 
 let () =
   let cfg = Runtime.config ~seed:1 (Machine.mesh ~cores:16) in
@@ -80,12 +80,10 @@ let () =
         Printf.printf "[%8d] choice picked: %s\n" (Fiber.now ()) winner;
 
         (* 5. a function call is a message pair (paper Section 3) *)
-        let double = Rpc.endpoint ~label:"double" () in
-        let _svc =
-          Fiber.spawn ~daemon:true (fun () -> Rpc.serve double (fun x -> 2 * x))
-        in
+        let double = Svc.create ~subsystem:"demo" ~label:"double" () in
+        let _svc = Svc.start double (fun x -> 2 * x) in
         Printf.printf "[%8d] rpc double(21) = %d\n" (Fiber.now ())
-          (Rpc.call double 21))
+          (Svc.call double 21))
   in
   Printf.printf "\nrun complete: %d virtual cycles, %d messages (%d remote)\n"
     stats.Chorus.Runstats.makespan stats.Chorus.Runstats.msgs

@@ -7,31 +7,37 @@ exception Closed
 
 type capacity = Rendezvous | Bounded of int | Unbounded
 
-(* A waiting (blocked or choice-registered) receiver.  [live] is a
-   non-destructive staleness probe; [claim] consumes the offer and
-   returns false when it had gone stale (its choice committed
-   elsewhere, or its fiber was killed).  After a successful [claim],
-   exactly one of [deliver]/[abort] must be invoked. *)
-type 'a rx = {
-  rx_live : unit -> bool;
-  rx_claim : unit -> bool;
-  rx_deliver : time:int -> 'a -> unit;
-  rx_abort : time:int -> exn -> unit;
-  rx_core : int;
-  rx_time : int;
-}
+(* Offers: a blocked [send]/[recv], or one case of a blocked [choose].
+   The blocked fiber's one-shot waker is the only commit point.  An
+   offer is live iff its waker is ([Engine.waker_live]); whoever pops a
+   live offer off its queue uses the waker in the same host step, which
+   turns stale every other offer registered with that waker (the other
+   cases of the same choice).  [rk] maps the received value to the
+   suspension's result ([Fun.id] for a plain recv, the case's thunk for
+   a choice); [done_] is what a sender resumes with. *)
+type 'a rx =
+  | Rx : {
+      rw : 'w Engine.waker;
+      rk : 'a -> 'w;
+      rcore : int;
+      rtime : int;
+    }
+      -> 'a rx
 
-(* A waiting sender together with the value it offers. *)
-type 'a tx = {
-  tx_live : unit -> bool;
-  tx_claim : unit -> bool;
-  tx_val : 'a;
-  tx_words : int;
-  tx_core : int;
-  tx_time : int;
-  tx_done : time:int -> unit;
-  tx_abort : time:int -> exn -> unit;
-}
+type 'a tx =
+  | Tx : {
+      tw : 'w Engine.waker;
+      tv : 'a;
+      twords : int;
+      tcore : int;
+      ttime : int;
+      done_ : 'w;
+    }
+      -> 'a tx
+
+let rx_live (Rx r) = Engine.waker_live r.rw
+
+let tx_live (Tx t) = Engine.waker_live t.tw
 
 type 'a slot = { sl_val : 'a; sl_words : int; sl_core : int; sl_time : int }
 
@@ -46,6 +52,15 @@ type 'a t = {
   rxq : 'a rx Deque.t;
   mutable closed : bool;
 }
+
+let count_live live q =
+  let n = ref 0 in
+  Deque.iter (fun o -> if live o then incr n) q;
+  !n
+
+let waiting_senders c = count_live tx_live c.txq
+
+let waiting_receivers c = count_live rx_live c.rxq
 
 let make_chan cap label =
   let eng = Engine.current () in
@@ -63,9 +78,6 @@ let make_chan cap label =
   | Some l ->
     Inspect.register ~name:(Printf.sprintf "chan/%s#%d" l c.chid)
       (fun () ->
-        let live_tx = ref 0 and live_rx = ref 0 in
-        Deque.iter (fun tx -> if tx.tx_live () then incr live_tx) c.txq;
-        Deque.iter (fun rx -> if rx.rx_live () then incr live_rx) c.rxq;
         Inspect.Assoc
           [ ("queued", Inspect.Int (Queue.length c.buf));
             ("capacity",
@@ -74,8 +86,8 @@ let make_chan cap label =
                | Rendezvous -> 0
                | Bounded n -> n
                | Unbounded -> -1));
-            ("waiting_senders", Inspect.Int !live_tx);
-            ("waiting_receivers", Inspect.Int !live_rx);
+            ("waiting_senders", Inspect.Int (waiting_senders c));
+            ("waiting_receivers", Inspect.Int (waiting_receivers c));
             ("closed", Inspect.Bool c.closed) ]));
   c
 
@@ -98,48 +110,35 @@ let is_closed c = c.closed
 
 let length c = Queue.length c.buf
 
-let waiting_senders c =
-  let n = ref 0 in
-  Deque.iter (fun tx -> if tx.tx_live () then incr n) c.txq;
-  !n
+(* The buffer can take one more value. *)
+let room c =
+  match c.cap with
+  | Unbounded -> true
+  | Bounded n -> Queue.length c.buf < n
+  | Rendezvous -> false
 
-let waiting_receivers c =
-  let n = ref 0 in
-  Deque.iter (fun rx -> if rx.rx_live () then incr n) c.rxq;
-  !n
-
-(* Claim the first live offer, discarding stale ones. *)
-let rec pop_live_rx c =
-  match Deque.pop_front c.rxq with
+(* Take the first live offer off the queue, discarding stale ones.  The
+   caller must use the offer's waker before anything else runs. *)
+let rec pop_live live q =
+  match Deque.pop_front q with
   | None -> None
-  | Some rx -> if rx.rx_claim () then Some rx else pop_live_rx c
-
-let rec pop_live_tx c =
-  match Deque.pop_front c.txq with
-  | None -> None
-  | Some tx -> if tx.tx_claim () then Some tx else pop_live_tx c
+  | Some o as r -> if live o then r else pop_live live q
 
 (* Non-destructive probe: prune stale entries at the front, report
    whether a live one remains. *)
-let rec some_live_rx c =
-  match Deque.peek_front c.rxq with
+let rec some_live live q =
+  match Deque.peek_front q with
   | None -> false
-  | Some rx ->
-    if rx.rx_live () then true
-    else begin
-      ignore (Deque.pop_front c.rxq);
-      some_live_rx c
+  | Some o ->
+    live o
+    || begin
+      ignore (Deque.pop_front q);
+      some_live live q
     end
 
-let rec some_live_tx c =
-  match Deque.peek_front c.txq with
-  | None -> false
-  | Some tx ->
-    if tx.tx_live () then true
-    else begin
-      ignore (Deque.pop_front c.txq);
-      some_live_tx c
-    end
+let deliver (Rx r) ~time v = Engine.wake_at r.rw time (r.rk v)
+
+let release (Tx t) ~time = Engine.wake_at t.tw time t.done_
 
 (* ------------------------------------------------------------------ *)
 (* Cost accounting                                                     *)
@@ -168,87 +167,36 @@ let charge_send_side eng ~words =
 
 (* When a buffered slot frees, promote the first waiting sender's
    value into the buffer and unblock that sender. *)
-let refill eng c ~time =
-  match c.cap with
-  | Bounded n when Queue.length c.buf < n -> begin
-    match pop_live_tx c with
+let refill c ~time =
+  if room c then
+    match pop_live tx_live c.txq with
     | None -> ()
-    | Some tx ->
+    | Some (Tx t as tx) ->
       Queue.push
-        { sl_val = tx.tx_val; sl_words = tx.tx_words; sl_core = tx.tx_core;
+        { sl_val = t.tv; sl_words = t.twords; sl_core = t.tcore;
           sl_time = time }
         c.buf;
-      ignore eng;
-      tx.tx_done ~time
-  end
-  | Bounded _ | Rendezvous | Unbounded -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Plain-operation offers (a private one-shot cell per offer)          *)
-
-let plain_rx eng w ~core ~time =
-  ignore eng;
-  let claimed = ref false in
-  { rx_live = (fun () -> (not !claimed) && Engine.waker_live w);
-    rx_claim =
-      (fun () ->
-        if (not !claimed) && Engine.waker_live w then begin
-          claimed := true;
-          true
-        end
-        else false);
-    rx_deliver = (fun ~time v -> Engine.wake_at w time v);
-    rx_abort = (fun ~time e -> Engine.wake_err_at w time e);
-    rx_core = core;
-    rx_time = time }
-
-let plain_tx eng w ~v ~words ~core ~time =
-  ignore eng;
-  let claimed = ref false in
-  { tx_live = (fun () -> (not !claimed) && Engine.waker_live w);
-    tx_claim =
-      (fun () ->
-        if (not !claimed) && Engine.waker_live w then begin
-          claimed := true;
-          true
-        end
-        else false);
-    tx_val = v;
-    tx_words = words;
-    tx_core = core;
-    tx_time = time;
-    tx_done = (fun ~time -> Engine.wake_at w time ());
-    tx_abort = (fun ~time e -> Engine.wake_err_at w time e) }
+      release tx ~time
 
 (* ------------------------------------------------------------------ *)
 (* Send                                                                *)
 
-let deliver_to_rx eng rx ~src_core ~send_time v =
-  let lat = transit eng ~src:src_core ~dst:rx.rx_core in
-  let completion = max send_time rx.rx_time + lat in
-  rx.rx_deliver ~time:completion v
-
 let send_fast eng c v ~words ~src ~ts =
   (* returns true when the send completed without blocking *)
-  match pop_live_rx c with
-  | Some rx ->
-    count_message eng c ~src ~dst:rx.rx_core ~words;
-    deliver_to_rx eng rx ~src_core:src ~send_time:ts v;
+  match pop_live rx_live c.rxq with
+  | Some (Rx r as rx) ->
+    count_message eng c ~src ~dst:r.rcore ~words;
+    let lat = transit eng ~src ~dst:r.rcore in
+    deliver rx ~time:(max ts r.rtime + lat) v;
     true
   | None ->
-    let room =
-      match c.cap with
-      | Unbounded -> true
-      | Bounded n -> Queue.length c.buf < n
-      | Rendezvous -> false
-    in
-    if room then begin
+    room c
+    && begin
       Queue.push { sl_val = v; sl_words = words; sl_core = src; sl_time = ts }
         c.buf;
       count_message eng c ~src ~dst:src ~words;
       true
     end
-    else false
 
 let send ?(words = 2) c v =
   let eng = Engine.current () in
@@ -258,22 +206,20 @@ let send ?(words = 2) c v =
   let ts = Engine.now eng in
   if not (send_fast eng c v ~words ~src ~ts) then
     Engine.suspend eng ~tag:("send:" ^ label c) (fun w ->
-        Deque.push_back c.txq (plain_tx eng w ~v ~words ~core:src ~time:ts))
+        Deque.push_back c.txq
+          (Tx { tw = w; tv = v; twords = words; tcore = src; ttime = ts;
+                done_ = () }))
+
+(* A send can complete without blocking: a live receiver waits or the
+   buffer has room. *)
+let send_ready c = some_live rx_live c.rxq || room c
 
 let try_send ?(words = 2) c v =
   let eng = Engine.current () in
   if c.closed then raise Closed;
   let src = Engine.fiber_core (Engine.self eng) in
   let ts = Engine.now eng in
-  let can =
-    some_live_rx c
-    ||
-    match c.cap with
-    | Unbounded -> true
-    | Bounded n -> Queue.length c.buf < n
-    | Rendezvous -> false
-  in
-  if can then begin
+  if send_ready c then begin
     charge_send_side eng ~words;
     let ok = send_fast eng c v ~words ~src ~ts in
     assert ok;
@@ -287,7 +233,7 @@ let try_send ?(words = 2) c v =
 (* A value is available if something is buffered, a live sender waits,
    or the channel is closed (in which case consuming raises). *)
 let recv_ready c =
-  (not (Queue.is_empty c.buf)) || some_live_tx c || c.closed
+  (not (Queue.is_empty c.buf)) || some_live tx_live c.txq || c.closed
 
 let recv_fast eng c ~me ~tr =
   (* call only when [recv_ready]; completes the receive and returns the
@@ -296,20 +242,20 @@ let recv_fast eng c ~me ~tr =
     let sl = Queue.pop c.buf in
     let completion = max tr sl.sl_time + transit eng ~src:sl.sl_core ~dst:me in
     Engine.charge eng (completion - tr);
-    refill eng c ~time:completion;
+    refill c ~time:completion;
     if Engine.tracing eng then Engine.emit eng (Trace.Recv { chan = c.chid });
     sl.sl_val
   end
   else
-    match pop_live_tx c with
-    | Some tx ->
-      let completion = max tr tx.tx_time + transit eng ~src:tx.tx_core ~dst:me in
+    match pop_live tx_live c.txq with
+    | Some (Tx t as tx) ->
+      let completion = max tr t.ttime + transit eng ~src:t.tcore ~dst:me in
       Engine.charge eng (completion - tr);
-      count_message eng c ~src:tx.tx_core ~dst:me ~words:tx.tx_words;
-      tx.tx_done ~time:completion;
+      count_message eng c ~src:t.tcore ~dst:me ~words:t.twords;
+      release tx ~time:completion;
       if Engine.tracing eng then
         Engine.emit eng (Trace.Recv { chan = c.chid });
-      tx.tx_val
+      t.tv
     | None ->
       if c.closed then raise Closed
       else failwith "Chan.recv_fast: not ready"
@@ -321,13 +267,13 @@ let recv c =
   if recv_ready c then recv_fast eng c ~me ~tr
   else
     Engine.suspend eng ~tag:("recv:" ^ label c) (fun w ->
-        Deque.push_back c.rxq (plain_rx eng w ~core:me ~time:tr))
+        Deque.push_back c.rxq (Rx { rw = w; rk = Fun.id; rcore = me; rtime = tr }))
 
 let try_recv c =
   let eng = Engine.current () in
   let me = Engine.fiber_core (Engine.self eng) in
   let tr = Engine.now eng in
-  if not (Queue.is_empty c.buf) || some_live_tx c then
+  if not (Queue.is_empty c.buf) || some_live tx_live c.txq then
     Some (recv_fast eng c ~me ~tr)
   else if c.closed then raise Closed
   else None
@@ -337,21 +283,20 @@ let try_recv c =
 
 let close c =
   if not c.closed then begin
-    let eng = Engine.current () in
-    let t = Engine.now eng in
+    let t = Engine.now (Engine.current ()) in
     c.closed <- true;
     let rec abort_rxs () =
-      match pop_live_rx c with
+      match pop_live rx_live c.rxq with
       | None -> ()
-      | Some rx ->
-        rx.rx_abort ~time:t Closed;
+      | Some (Rx r) ->
+        Engine.wake_err_at r.rw t Closed;
         abort_rxs ()
     in
     let rec abort_txs () =
-      match pop_live_tx c with
+      match pop_live tx_live c.txq with
       | None -> ()
-      | Some tx ->
-        tx.tx_abort ~time:t Closed;
+      | Some (Tx tx) ->
+        Engine.wake_err_at tx.tw t Closed;
         abort_txs ()
     in
     abort_rxs ();
@@ -362,96 +307,14 @@ let close c =
 (* Choice                                                              *)
 
 type 'r case =
-  | Case : {
-      ready : unit -> bool;
-      exec : unit -> 'r;
-      register : (unit -> 'r) Engine.waker -> bool ref -> unit;
-    }
-      -> 'r case
+  | Recv : 'a t * ('a -> 'r) -> 'r case
+  | Send : 'a t * 'a * int * (unit -> 'r) -> 'r case
   | Timeout : int * (unit -> 'r) -> 'r case
   | Default : (unit -> 'r) -> 'r case
 
-(* Offers registered by a blocked choice share one commit cell; the
-   first partner (or timer) to claim it wins and the rest go stale. *)
-let choice_rx c f w cell ~core ~time =
-  let rx =
-    { rx_live = (fun () -> (not !cell) && Engine.waker_live w);
-      rx_claim =
-        (fun () ->
-          if (not !cell) && Engine.waker_live w then begin
-            cell := true;
-            true
-          end
-          else false);
-      rx_deliver = (fun ~time v -> Engine.wake_at w time (fun () -> f v));
-      rx_abort =
-        (fun ~time e -> Engine.wake_at w time (fun () -> raise e));
-      rx_core = core;
-      rx_time = time }
-  in
-  Deque.push_back c.rxq rx
+let recv_case c f = Recv (c, f)
 
-let choice_tx c v h w cell ~words ~core ~time =
-  let tx =
-    { tx_live = (fun () -> (not !cell) && Engine.waker_live w);
-      tx_claim =
-        (fun () ->
-          if (not !cell) && Engine.waker_live w then begin
-            cell := true;
-            true
-          end
-          else false);
-      tx_val = v;
-      tx_words = words;
-      tx_core = core;
-      tx_time = time;
-      tx_done = (fun ~time -> Engine.wake_at w time h);
-      tx_abort =
-        (fun ~time e -> Engine.wake_at w time (fun () -> raise e)) }
-  in
-  Deque.push_back c.txq tx
-
-let recv_case c f =
-  Case
-    { ready = (fun () -> recv_ready c);
-      exec =
-        (fun () ->
-          let eng = Engine.current () in
-          let me = Engine.fiber_core (Engine.self eng) in
-          let tr = Engine.now eng in
-          f (recv_fast eng c ~me ~tr));
-      register =
-        (fun w cell ->
-          let eng = Engine.current () in
-          let me = Engine.waker_fiber w |> Engine.fiber_core in
-          choice_rx c f w cell ~core:me ~time:(Engine.now eng)) }
-
-let send_case ?(words = 2) c v h =
-  Case
-    { ready =
-        (fun () ->
-          c.closed || some_live_rx c
-          ||
-          match c.cap with
-          | Unbounded -> true
-          | Bounded n -> Queue.length c.buf < n
-          | Rendezvous -> false);
-      exec =
-        (fun () ->
-          let eng = Engine.current () in
-          if c.closed then raise Closed;
-          charge_send_side eng ~words;
-          let src = Engine.fiber_core (Engine.self eng) in
-          let ts = Engine.now eng in
-          let ok = send_fast eng c v ~words ~src ~ts in
-          assert ok;
-          h ());
-      register =
-        (fun w cell ->
-          let eng = Engine.current () in
-          let src = Engine.waker_fiber w |> Engine.fiber_core in
-          charge_send_side eng ~words;
-          choice_tx c v h w cell ~words ~core:src ~time:(Engine.now eng)) }
+let send_case ?(words = 2) c v h = Send (c, v, words, h)
 
 let after n h =
   if n < 0 then invalid_arg "Chan.after: negative delay";
@@ -462,8 +325,37 @@ let default h = Default h
 type strategy = Commit | Poll of int
 
 let case_ready = function
-  | Case { ready; _ } -> ready ()
+  | Recv (c, _) -> recv_ready c
+  | Send (c, _, _, _) -> c.closed || send_ready c
   | Timeout _ | Default _ -> false
+
+(* Run a ready channel case: a ready case never blocks. *)
+let exec_case = function
+  | Recv (c, f) -> f (recv c)
+  | Send (c, v, words, h) ->
+    send ~words c v;
+    h ()
+  | Timeout (_, h) | Default h -> h ()
+
+(* Register one case of a blocked choice.  Every offer carries the
+   choice's waker, so the first partner, timer or close to use it
+   commits the choice and the other offers go stale. *)
+let register eng w = function
+  | Recv (c, f) ->
+    let me = Engine.waker_fiber w |> Engine.fiber_core in
+    Deque.push_back c.rxq
+      (Rx { rw = w; rk = (fun v () -> f v); rcore = me;
+            rtime = Engine.now eng })
+  | Send (c, v, words, h) ->
+    let src = Engine.waker_fiber w |> Engine.fiber_core in
+    charge_send_side eng ~words;
+    Deque.push_back c.txq
+      (Tx { tw = w; tv = v; twords = words; tcore = src;
+            ttime = Engine.now eng; done_ = h })
+  | Timeout (n, h) ->
+    let fire = Engine.now eng + n in
+    Engine.schedule_at eng fire (fun () -> Engine.wake_at w fire h)
+  | Default _ -> ()
 
 let choose_commit cases =
   let eng = Engine.current () in
@@ -474,32 +366,14 @@ let choose_commit cases =
   match ready with
   | _ :: _ ->
     let arr = Array.of_list ready in
-    let pick = arr.(Rng.int (Engine.rng eng) (Array.length arr)) in
-    (match pick with
-    | Case { exec; _ } -> exec ()
-    | Timeout _ | Default _ -> assert false)
+    exec_case arr.(Rng.int (Engine.rng eng) (Array.length arr))
   | [] -> (
-    let defaults =
-      List.filter_map (function Default h -> Some h | _ -> None) cases
-    in
-    match defaults with
-    | h :: _ -> h ()
-    | [] ->
+    match List.find_opt (function Default _ -> true | _ -> false) cases with
+    | Some d -> exec_case d
+    | None ->
       let thunk =
         Engine.suspend eng ~tag:"choose" (fun w ->
-            let cell = ref false in
-            List.iter
-              (function
-                | Case { register; _ } -> register w cell
-                | Timeout (n, h) ->
-                  let fire = Engine.now eng + n in
-                  Engine.schedule_at eng fire (fun () ->
-                      if (not !cell) && Engine.waker_live w then begin
-                        cell := true;
-                        Engine.wake_at w fire h
-                      end)
-                | Default _ -> ())
-              cases)
+            List.iter (register eng w) cases)
       in
       thunk ())
 
@@ -514,25 +388,18 @@ let choose_poll interval cases =
     let ready =
       List.filter
         (function
-          | Case { ready; _ } -> ready ()
           | Timeout (n, _) -> now - start >= n
-          | Default _ -> false)
+          | case -> case_ready case)
         cases
     in
     match ready with
-    | _ :: _ -> (
+    | _ :: _ ->
       let arr = Array.of_list ready in
-      match arr.(Rng.int (Engine.rng eng) (Array.length arr)) with
-      | Case { exec; _ } -> exec ()
-      | Timeout (_, h) -> h ()
-      | Default _ -> assert false)
+      exec_case arr.(Rng.int (Engine.rng eng) (Array.length arr))
     | [] -> (
-      let defaults =
-        List.filter_map (function Default h -> Some h | _ -> None) cases
-      in
-      match defaults with
-      | h :: _ -> h ()
-      | [] ->
+      match List.find_opt (function Default _ -> true | _ -> false) cases with
+      | Some d -> exec_case d
+      | None ->
         Engine.sleep eng interval;
         poll ())
   in

@@ -21,9 +21,10 @@
 
     {!choose} is the paper's [choice] construct: exactly one of the
     cases executes, whichever becomes ready first.  The default
-    implementation is CML-style one-shot commitment (offers carrying a
-    shared commit cell are registered with every involved channel); the
-    [`Poll] strategy is the naive periodic-polling alternative kept as
+    implementation is CML-style one-shot commitment: one offer per case
+    is registered with its channel, every offer carries the choosing
+    fiber's one-shot waker, and the first partner, timer or close to use
+    that waker commits the choice; the [`Poll] strategy is the naive periodic-polling alternative kept as
     an ablation for experiment E6. *)
 
 type 'a t

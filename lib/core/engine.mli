@@ -191,7 +191,15 @@ type 'a waker
 
 val wake_at : 'a waker -> int -> 'a -> unit
 (** [wake_at w time v] makes the fiber runnable at virtual [time] with
-    [suspend]'s result [v]. *)
+    [suspend]'s result [v].
+
+    The waker is the commit point of every channel offer ({!Chan}
+    queues one offer per blocked send/recv and per case of a blocked
+    [choose], all carrying the fiber's waker).  The rule [Chan] depends
+    on: an offer is taken off its queue only immediately before its
+    waker is used, in the same host step, so no other offer can be
+    matched in between and the offers left behind on other queues go
+    stale ({!waker_live} turns [false]). *)
 
 val wake_err_at : 'a waker -> int -> exn -> unit
 (** Resume by raising [exn] at the suspension point. *)
@@ -200,7 +208,9 @@ val waker_fiber : 'a waker -> fiber
 
 val waker_live : 'a waker -> bool
 (** [true] while the suspended fiber can still be woken through this
-    waker (it has not been woken, aborted or killed). *)
+    waker (it has not been woken, aborted or killed).  A channel offer
+    is live iff its waker is: see {!wake_at} for the rule that makes
+    this the only commit flag an offer needs. *)
 
 val suspend : t -> tag:string -> ('a waker -> unit) -> 'a
 (** [suspend t ~tag register] ends the segment and blocks the calling

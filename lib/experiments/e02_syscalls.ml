@@ -9,7 +9,7 @@
 
 open Exp_common
 module Fiber = Chorus.Fiber
-module Rpc = Chorus.Rpc
+module Svc = Chorus_svc.Svc
 module Trap = Chorus_baseline.Trap
 module Flexsc = Chorus_baseline.Flexsc
 
@@ -28,10 +28,12 @@ let mech_name = function
 let start_services cores =
   let nservice = max 1 (cores / 4) in
   Array.init nservice (fun i ->
-      let ep = Rpc.endpoint ~label:(Printf.sprintf "sys-%d" i) () in
+      let ep =
+        Svc.create ~subsystem:"e2" ~label:(Printf.sprintf "sys-%d" i) ()
+      in
       ignore
-        (Fiber.spawn ~on:(i * cores / nservice) ~daemon:true (fun () ->
-             Rpc.serve ep (fun () -> Fiber.work kernel_work)));
+        (Svc.start ~on:(i * cores / nservice) ep (fun () ->
+             Fiber.work kernel_work));
       ep)
 
 let client_loop mech services ~cores ~ops =
@@ -44,7 +46,7 @@ let client_loop mech services ~cores ~ops =
                   (me * Array.length services / cores))
     in
     for _ = 1 to ops do
-      Rpc.call ep ()
+      Svc.call ep ()
     done
   | Trap_each ->
     for _ = 1 to ops do

@@ -12,7 +12,7 @@
 
 open Exp_common
 module Fiber = Chorus.Fiber
-module Rpc = Chorus.Rpc
+module Svc = Chorus_svc.Svc
 module Machipc = Chorus_baseline.Machipc
 
 let n_calls ~quick = pick ~quick 2_000 20_000
@@ -30,15 +30,12 @@ let latency_of ~quick ~seed mech =
     run ~seed ~cores:4 (fun () ->
         match mech with
         | Chan_rpc ->
-          let ep = Rpc.endpoint () in
-          let _srv =
-            Fiber.spawn ~on:1 ~daemon:true (fun () ->
-                Rpc.serve ep (fun x -> x + 1))
-          in
+          let ep = Svc.create ~subsystem:"e18" ~label:"null-rpc" () in
+          let _srv = Svc.start ~on:1 ep (fun x -> x + 1) in
           let f =
             Fiber.spawn ~on:0 (fun () ->
                 for i = 1 to n do
-                  ignore (Rpc.call ep i)
+                  ignore (Svc.call ep i)
                 done)
           in
           ignore (Fiber.join f)

@@ -56,7 +56,8 @@ type t = {
   reply_demux_on : (int, unit) Hashtbl.t;
       (** reply ports whose demux fiber is running *)
   served : (int, string option Dedup.t) Hashtbl.t;
-      (** per-port duplicate-suppression state for {!serve_async}:
+      (** per-port duplicate-suppression state for {!serve_async}
+          (and so {!serve}):
           (peer, seq) -> None while in flight, Some reply once sent.
           Lives on the stack, not in the serve fiber, so a restarted
           server keeps exactly-once semantics across the crash. *)
@@ -250,22 +251,9 @@ let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
         in
         handler ~src f.Fabric.payload ~reply)
 
-let serve ?config ?(dedup_capacity = default_dedup_capacity) t ~port handler =
-  let requests = listen t ~port in
-  let svc = attach_port_svc t ~port ?config requests in
-  (* (peer, seq) -> cached reply, for duplicate suppression *)
-  let seen : string Dedup.t = Dedup.create ~cap:dedup_capacity t.stats in
-  Svc.serve_cast svc (fun f ->
-      let key = (f.Fabric.src, f.Fabric.seq) in
-      let reply =
-        match Dedup.find_opt seen key with
-        | Some cached ->
-          t.stats.duplicates_served <- t.stats.duplicates_served + 1;
-          cached
-        | None ->
-          let r = handler ~src:f.Fabric.src f.Fabric.payload in
-          Dedup.set seen key r;
-          r
-      in
-      send t ~dst:f.Fabric.src ~port:(reply_port port) ~seq:f.Fabric.seq
-        reply)
+(* A synchronous server is an async one whose handler replies at once;
+   [listen] first, so a taken port is still rejected. *)
+let serve ?config ?dedup_capacity t ~port handler =
+  ignore (listen t ~port);
+  serve_async ?config ?dedup_capacity t ~port (fun ~src req ~reply ->
+      reply (handler ~src req))

@@ -74,10 +74,10 @@ val serve_async :
     fibers and keep the port loop responsive.  The handler itself runs
     in the serving fiber and must not block.  Duplicate suppression
     covers in-flight requests (retransmissions of an unanswered request
-    are swallowed; the eventual reply answers them) and, unlike
-    {!serve}, survives server restarts: the (peer, seq) cache and the
-    port channel live on the stack, so calling [serve_async] again on
-    the same port after the serving fiber died resumes the same
-    endpoint with exactly-once semantics intact.  [config] and
+    are swallowed; the eventual reply answers them) and survives server
+    restarts: the (peer, seq) cache and the port channel live on the
+    stack, so calling [serve_async] again on the same port after the
+    serving fiber died resumes the same endpoint with exactly-once
+    semantics intact.  [config] and
     [dedup_capacity] as in {!serve}; the cache capacity is fixed by
     the first server incarnation on the port. *)

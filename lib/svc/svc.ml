@@ -2,10 +2,9 @@
    implementation notes below are about determinism.
 
    The default configuration (capacity 0 = unbounded, `Block) must be
-   charge-for-charge identical to the hand-rolled Rpc loops it
-   replaces: offer is a plain Chan.send, take is a plain Chan.recv,
-   call builds the same one-shot [Chan.buffered 1] reply before
-   sending, and nothing here ever uses Chan.choose (choose charges per
+   charge-for-charge the bare request/reply message pair: offer is a
+   plain Chan.send, take is a plain Chan.recv, call builds a one-shot
+   [Chan.buffered 1] reply before sending, and nothing here ever uses Chan.choose (choose charges per
    case and draws from the run's RNG, which would perturb every seeded
    experiment).  Metrics and spans are host-side: they never advance
    virtual time and are no-ops without an installed registry/sink.

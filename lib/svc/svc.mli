@@ -12,8 +12,8 @@
 
     - [`Block] — callers block once the inbox is full (backpressure;
       the CSP answer).  With [capacity = 0] the inbox is unbounded and
-      a default-configured endpoint is charge-for-charge identical to
-      the bare {!Chorus.Rpc} pattern it replaces.
+      a default-configured endpoint is charge-for-charge the bare
+      request/reply message pair below.
     - [`Reject] — the caller immediately gets a typed busy error and
       the handler never sees the request (admission control).
     - [`Shed_oldest] — the stalest queued request is dropped (its
@@ -120,7 +120,15 @@ val create :
 (** Fresh request/reply endpoint.  Shed requests are answered [`Busy]
     on their reply channel automatically. *)
 
-(** {1 Client side} *)
+(** {1 Client side}
+
+    Paper Section 3: "A function call [r = f(a, b)] is equivalent,
+    given a listener thread on channel c ... to writing
+    [c <- (a, b, c1); r <- c1;] where c1 is a fresh channel used to
+    send the return value back."  {!call} is exactly that pattern:
+    the reply channel travels inside the request, so a server can
+    delegate the request to another fiber and the reply still flows
+    directly to the caller (the paper's "plumbing"). *)
 
 val offer : ?words:int -> 'msg cast -> 'msg -> [ `Ok | `Busy ]
 (** Submit a message under the endpoint's policy.  Under the default
@@ -133,8 +141,9 @@ val cast : ?words:int -> 'msg cast -> 'msg -> unit
 
 val call : ?words:int -> ?deadline:int -> ('req, 'resp) t -> 'req -> 'resp
 (** Send the request with a fresh reply channel, await the reply.
-    Charge-for-charge identical to {!Chorus.Rpc.call} under the
-    default config (and no deadline).  Raises {!Busy} when rejected or
+    Under the default config (and no deadline) it is the bare message
+    pair: one send on the inbox, one receive on a [Chan.buffered 1]
+    reply channel.  Raises {!Busy} when rejected or
     shed.  [deadline] is an absolute virtual time: if it passes before
     the reply arrives (or already passed — the effective deadline is
     the tighter of [deadline] and the ambient one), raises {!Expired}

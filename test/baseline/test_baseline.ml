@@ -6,6 +6,7 @@ module Policy = Chorus_sched.Policy
 module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
+module Svc = Chorus_svc.Svc
 module Shm = Chorus_baseline.Shm
 module Lock = Chorus_baseline.Lock
 module Rwlock = Chorus_baseline.Rwlock
@@ -345,13 +346,10 @@ let test_ipc_weight_ordering () =
   let n = 200 in
   let chan =
     time (fun () ->
-        let ep = Chorus.Rpc.endpoint () in
-        let _s =
-          Fiber.spawn ~daemon:true (fun () ->
-              Chorus.Rpc.serve ep (fun x -> x))
-        in
+        let ep = Svc.create ~subsystem:"test" ~label:"echo" () in
+        let _s = Svc.start ep (fun x -> x) in
         for i = 1 to n do
-          ignore (Chorus.Rpc.call ep i)
+          ignore (Svc.call ep i)
         done)
   in
   let l4 =

@@ -7,8 +7,6 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Mailbox = Chorus.Mailbox
-module Rpc = Chorus.Rpc
 module Engine = Chorus.Engine
 
 let cfg ?policy ?(cores = 4) ?(seed = 42) () =
@@ -510,33 +508,56 @@ let test_sleep_advances_time () =
   in
   ()
 
-let test_mailbox_selective () =
+(* The paper's Section 3 call, [c <- (a, b, c1); r <- c1], built from
+   channels alone: the request carries its own reply channel. *)
+let test_call_reply_channel () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let mb = Mailbox.create () in
-        Mailbox.send mb (`A 1);
-        Mailbox.send mb (`B 2);
-        Mailbox.send mb (`A 3);
-        let b = Mailbox.receive mb (function `B x -> Some x | `A _ -> None) in
-        Alcotest.(check int) "selective pulled B" 2 b;
-        (match Mailbox.recv mb with
-        | `A x -> Alcotest.(check int) "stash order kept" 1 x
-        | `B _ -> Alcotest.fail "wrong order");
-        match Mailbox.recv mb with
-        | `A x -> Alcotest.(check int) "stash order kept" 3 x
-        | `B _ -> Alcotest.fail "wrong order")
+        let c = Chan.rendezvous () in
+        let _server =
+          Fiber.spawn ~daemon:true (fun () ->
+              while true do
+                let x, reply = Chan.recv c in
+                Chan.send reply (x * 2)
+              done)
+        in
+        let call x =
+          let c1 = Chan.buffered 1 in
+          Chan.send c (x, c1);
+          Chan.recv c1
+        in
+        Alcotest.(check int) "call" 42 (call 21);
+        Alcotest.(check int) "call again" 10 (call 5))
   in
   ()
 
-let test_rpc_roundtrip () =
+(* A caller that gives up on a slow reply: the timeout commits the
+   choice, the abandoned recv offer is dead, and the late reply stays
+   buffered for nobody instead of waking the caller a second time. *)
+let test_call_abandoned_by_timeout () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let ep = Rpc.endpoint () in
-        let _server =
-          Fiber.spawn ~daemon:true (fun () -> Rpc.serve ep (fun x -> x * 2))
+        let c = Chan.rendezvous () in
+        let c1 = Chan.buffered 1 in
+        let server =
+          Fiber.spawn (fun () ->
+              let x, reply = Chan.recv c in
+              Fiber.sleep 50_000;
+              Chan.send reply (x * 2))
         in
-        Alcotest.(check int) "rpc" 42 (Rpc.call ep 21);
-        Alcotest.(check int) "rpc again" 10 (Rpc.call ep 5))
+        Chan.send c (21, c1);
+        let got =
+          Chan.choose
+            [ Chan.recv_case c1 (fun r -> `Reply r);
+              Chan.after 10_000 (fun () -> `Timeout) ]
+        in
+        Alcotest.(check bool) "timeout wins" true (got = `Timeout);
+        Alcotest.(check int) "no receiver left waiting" 0
+          (Chan.waiting_receivers c1);
+        ignore (Fiber.join server);
+        Alcotest.(check int) "late reply buffered" 1 (Chan.length c1);
+        Alcotest.(check (option int)) "late reply intact" (Some 42)
+          (Chan.try_recv c1))
   in
   ()
 
@@ -771,9 +792,11 @@ let () =
             test_choice_equal_deadlines_fire_once;
           Alcotest.test_case "poll timeout boundary" `Quick
             test_choice_poll_timeout_boundary ] );
-      ( "mailbox-rpc",
-        [ Alcotest.test_case "selective receive" `Quick test_mailbox_selective;
-          Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip ] );
+      ( "call-return",
+        [ Alcotest.test_case "reply channel roundtrip" `Quick
+            test_call_reply_channel;
+          Alcotest.test_case "abandoned by timeout" `Quick
+            test_call_abandoned_by_timeout ] );
       ( "properties",
         [ qt prop_fifo_any_capacity;
           qt prop_rendezvous_conserves;

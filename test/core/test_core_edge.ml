@@ -8,8 +8,6 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
-module Rpc = Chorus.Rpc
-module Mailbox = Chorus.Mailbox
 module Engine = Chorus.Engine
 module Trace = Chorus.Trace
 
@@ -150,6 +148,121 @@ let test_send_case_fires_when_space_frees () =
         ignore (Fiber.join consumer))
   in
   ()
+
+(* ------------------------------------------------------------------ *)
+(* offer commitment under kills and closes                             *)
+
+(* Random fibers over 2-4 channels of mixed capacity do plain sends and
+   receives and [choose]s over recv cases, send cases and timeouts,
+   while a killer aborts some of them mid-wait and a closer shuts some
+   channels.  Whatever the interleaving: no value is received twice,
+   every completed send's value was received or is still buffered, and
+   no choice ran two arms.  Each blocked offer commits only through its
+   fiber's one-shot waker, so these are the properties that mechanism
+   must keep. *)
+let prop_offers_commit_once =
+  QCheck.Test.make ~name:"offers commit once" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let pick n = Random.State.int rs n in
+      let nchans = 2 + pick 3 in
+      let next_val = ref 0 in
+      let fresh () =
+        incr next_val;
+        !next_val
+      in
+      let sent = ref [] and received = ref [] and arms = ref [] in
+      let stopped = ref false in
+      let (_ : Runstats.t) =
+        run ~seed (fun () ->
+            let chans =
+              Array.init nchans (fun _ ->
+                  match pick 4 with
+                  | 0 -> Chan.rendezvous ()
+                  | 1 -> Chan.buffered 1
+                  | 2 -> Chan.buffered (2 + pick 2)
+                  | _ -> Chan.unbounded ())
+            in
+            let chan () = chans.(pick nchans) in
+            let op () =
+              match pick 3 with
+              | 0 ->
+                let v = fresh () in
+                Chan.send (chan ()) v;
+                sent := v :: !sent
+              | 1 ->
+                let v = Chan.recv (chan ()) in
+                received := v :: !received
+              | _ ->
+                let ran = ref 0 in
+                arms := ran :: !arms;
+                let case () =
+                  match pick 3 with
+                  | 0 ->
+                    Chan.recv_case (chan ()) (fun v ->
+                        incr ran;
+                        received := v :: !received)
+                  | 1 ->
+                    let v = fresh () in
+                    Chan.send_case (chan ()) v (fun () ->
+                        incr ran;
+                        sent := v :: !sent)
+                  | _ -> Chan.after (1 + pick 3_000) (fun () -> incr ran)
+                in
+                Chan.choose (List.init (1 + pick 3) (fun _ -> case ()))
+            in
+            let workers =
+              Array.init (3 + pick 6) (fun _ ->
+                  let plan = List.init (1 + pick 6) (fun _ -> pick 2_000) in
+                  Fiber.spawn ~daemon:true (fun () ->
+                      List.iter
+                        (fun work ->
+                          Fiber.work work;
+                          if not !stopped then
+                            try op () with Chan.Closed -> ())
+                        plan))
+            in
+            for _ = 1 to pick 3 do
+              let victim = workers.(pick (Array.length workers)) in
+              let at = pick 20_000 in
+              ignore
+                (Fiber.spawn ~daemon:true (fun () ->
+                     Fiber.sleep at;
+                     Fiber.kill victim))
+            done;
+            for _ = 1 to pick 3 do
+              let c = chan () and at = pick 30_000 in
+              ignore
+                (Fiber.spawn ~daemon:true (fun () ->
+                     Fiber.sleep at;
+                     Chan.close c))
+            done;
+            Fiber.sleep 1_000_000;
+            (* whatever is still buffered (or offered by a sender that
+               is still blocked) counts as not lost; a worker the drain
+               unblocks finishes that op and starts no other *)
+            stopped := true;
+            Array.iter
+              (fun c ->
+                let rec drain () =
+                  match Chan.try_recv c with
+                  | Some v ->
+                    received := v :: !received;
+                    drain ()
+                  | None | (exception Chan.Closed) -> ()
+                in
+                drain ())
+              chans)
+      in
+      let sorted = List.sort compare !received in
+      let rec distinct = function
+        | a :: (b :: _ as tl) -> a <> b && distinct tl
+        | _ -> true
+      in
+      distinct sorted
+      && List.for_all (fun v -> List.mem v sorted) !sent
+      && List.for_all (fun r -> !r <= 1) !arms)
 
 (* ------------------------------------------------------------------ *)
 (* scheduler behaviour                                                 *)
@@ -465,33 +578,6 @@ let test_anonymous_chan_label () =
 (* ------------------------------------------------------------------ *)
 (* misc API                                                            *)
 
-let test_rpc_serve_n () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let ep = Rpc.endpoint () in
-        let server = Fiber.spawn (fun () -> Rpc.serve_n 3 ep (fun x -> -x)) in
-        Alcotest.(check int) "1" (-1) (Rpc.call ep 1);
-        Alcotest.(check int) "2" (-2) (Rpc.call ep 2);
-        Alcotest.(check int) "3" (-3) (Rpc.call ep 3);
-        (* the server returned after exactly three *)
-        ignore (Fiber.join server))
-  in
-  ()
-
-let test_mailbox_size_counts_stash () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let mb = Mailbox.create () in
-        Mailbox.send mb (`A 1);
-        Mailbox.send mb (`B 2);
-        Mailbox.send mb (`A 3);
-        Alcotest.(check int) "size" 3 (Mailbox.size mb);
-        ignore
-          (Mailbox.receive mb (function `B x -> Some x | `A _ -> None));
-        Alcotest.(check int) "stash retained" 2 (Mailbox.size mb))
-  in
-  ()
-
 let test_try_recv_closed_raises () =
   let (_ : Runstats.t) =
     run (fun () ->
@@ -618,6 +704,20 @@ let test_buffered_never_exceeds_capacity () =
     (Printf.sprintf "buffer bounded (peak %d)" !maxlen)
     true (!maxlen <= 5)
 
+let test_priority_jumps_queue () =
+  let order = ref [] in
+  let (_ : Runstats.t) =
+    run ~cores:1 (fun () ->
+        (* park everything behind main's segment, then observe order *)
+        let tag t () = order := t :: !order in
+        let _n1 = Fiber.spawn ~on:0 (tag "n1") in
+        let _n2 = Fiber.spawn ~on:0 (tag "n2") in
+        let _hi = Fiber.spawn ~on:0 ~priority:Fiber.High (tag "hi") in
+        Fiber.sleep 100_000)
+  in
+  Alcotest.(check (list string)) "high priority ran first"
+    [ "hi"; "n1"; "n2" ] (List.rev !order)
+
 let () =
   Alcotest.run "chorus-core-edge"
     [ ( "close-choice",
@@ -637,7 +737,8 @@ let () =
             test_send_case_fires_when_space_frees;
           Alcotest.test_case "choice fairness" `Quick test_choice_fairness;
           Alcotest.test_case "capacity invariant" `Quick
-            test_buffered_never_exceeds_capacity ] );
+            test_buffered_never_exceeds_capacity;
+          QCheck_alcotest.to_alcotest prop_offers_commit_once ] );
       ( "scheduler",
         [ Alcotest.test_case "yield interleaves" `Quick
             test_yield_interleaves_on_one_core;
@@ -659,10 +760,9 @@ let () =
           Alcotest.test_case "anonymous channel label" `Quick
             test_anonymous_chan_label ] );
       ( "api",
-        [ Alcotest.test_case "serve_n" `Quick test_rpc_serve_n;
-          Alcotest.test_case "mailbox size" `Quick
-            test_mailbox_size_counts_stash;
-          Alcotest.test_case "try_recv closed" `Quick
+        [ Alcotest.test_case "try_recv closed" `Quick
             test_try_recv_closed_raises;
           Alcotest.test_case "waiting counters" `Quick test_waiting_counters;
-          Alcotest.test_case "double close" `Quick test_double_close_is_noop ] ) ]
+          Alcotest.test_case "double close" `Quick test_double_close_is_noop ] );
+      ( "priority",
+        [ Alcotest.test_case "jumps queue" `Quick test_priority_jumps_queue ] ) ]

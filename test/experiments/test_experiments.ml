@@ -13,22 +13,49 @@ let cell table ~row ~col =
 
 let fcell table ~row ~col = float_of_string (cell table ~row ~col)
 
+(* Every experiment's quick seed-7 tables, rendered exactly as
+   [chorus_sim run all --seed 7] prints them, must match the committed
+   golden byte for byte.  After an intentional change to a virtual
+   result, regenerate it with
+     dune exec bin/chorus_sim.exe -- run all --seed 7 \
+       > test/golden/experiments_quick_seed7.txt *)
+let golden = "../golden/experiments_quick_seed7.txt"
+
+let render e tables =
+  Printf.sprintf "--- %s: %s ---\nclaim: %s\n"
+    (String.uppercase_ascii e.Experiments.id)
+    e.Experiments.title e.Experiments.claim
+  ^ String.concat "" (List.map (fun t -> Tablefmt.to_string t ^ "\n") tables)
+
 let test_all_run_and_fill () =
-  List.iter
-    (fun e ->
-      let tables = e.Experiments.run ~quick:true ~seed:7 in
-      Alcotest.(check bool)
-        (e.Experiments.id ^ " produced tables")
-        true
-        (List.length tables >= 1);
-      List.iter
-        (fun t ->
-          Alcotest.(check bool)
-            (e.Experiments.id ^ ":" ^ Tablefmt.title t ^ " has rows")
-            true
-            (List.length (Tablefmt.rows t) >= 1))
-        tables)
-    Experiments.all
+  let rendered =
+    List.map
+      (fun e ->
+        let tables = e.Experiments.run ~quick:true ~seed:7 in
+        Alcotest.(check bool)
+          (e.Experiments.id ^ " produced tables")
+          true
+          (List.length tables >= 1);
+        List.iter
+          (fun t ->
+            Alcotest.(check bool)
+              (e.Experiments.id ^ ":" ^ Tablefmt.title t ^ " has rows")
+              true
+              (List.length (Tablefmt.rows t) >= 1))
+          tables;
+        render e tables)
+      Experiments.all
+  in
+  let expected = In_channel.with_open_bin golden In_channel.input_all in
+  let lines s = String.split_on_char '\n' s in
+  let rec first_diff n = function
+    | e :: es, a :: as_ ->
+      if e = a then first_diff (n + 1) (es, as_)
+      else Alcotest.failf "%s:%d: expected %S, got %S" golden n e a
+    | [], [] -> ()
+    | _ -> Alcotest.failf "%s: length differs from line %d" golden n
+  in
+  first_diff 1 (lines expected, lines (String.concat "" rendered))
 
 let test_registry_lookup () =
   Alcotest.(check bool) "finds e3" true (Experiments.find "E3" <> None);

@@ -9,6 +9,7 @@ module Runtime = Chorus.Runtime
 module Runstats = Chorus.Runstats
 module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
+module Svc = Chorus_svc.Svc
 module Fsspec = Chorus_fsspec.Fsspec
 module Fsmodel = Chorus_fsspec.Fsmodel
 module Blockdev = Chorus_kernel.Blockdev
@@ -678,30 +679,24 @@ let test_vm_thread_per_page () =
 (* Supervisor                                                          *)
 
 let crashing_echo ~crash_on ep () =
-  Fiber.spawn ~label:"echo-svc" ~daemon:true (fun () ->
-      let rec loop () =
-        let v, reply = Chan.recv ep in
-        if v = crash_on then failwith "service bug";
-        Chan.send reply (v * 2);
-        loop ()
-      in
-      loop ())
+  Svc.start ep (fun v ->
+      if v = crash_on then failwith "service bug";
+      v * 2)
 
 let test_supervisor_restart () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let ep = Chorus.Rpc.endpoint ~label:"echo" () in
+        let ep = Svc.create ~subsystem:"test" ~label:"echo" () in
         let sup =
           Supervisor.start Supervisor.One_for_one
             [ { Supervisor.cname = "echo";
                 cstart = crashing_echo ~crash_on:13 ep } ]
         in
         Fiber.sleep 1_000;
-        Alcotest.(check int) "service works" 4 (Chorus.Rpc.call ep 2);
+        Alcotest.(check int) "service works" 4 (Svc.call ep 2);
         (* crash it: the request (and its reply) is lost, so the caller
            needs a timeout arm — which is exactly what choice is for *)
-        let reply = Chan.buffered 1 in
-        Chan.send ep (13, reply);
+        let reply = Svc.call_async ep 13 in
         let timed_out =
           Chan.choose
             [ Chan.recv_case reply (fun _ -> false);
@@ -710,7 +705,7 @@ let test_supervisor_restart () =
         Alcotest.(check bool) "crashed request lost" true timed_out;
         Fiber.sleep 100_000;
         Alcotest.(check int) "restarted, same endpoint" 10
-          (Chorus.Rpc.call ep 5);
+          (Svc.call ep 5);
         Alcotest.(check int) "one restart" 1 (Supervisor.restarts sup);
         Alcotest.(check bool) "did not give up" false (Supervisor.gave_up sup))
   in
