@@ -1,5 +1,6 @@
 .PHONY: all build test fmt doc lint-loops lint-globals ci bench chaos-smoke \
-	bench-guard replay-smoke vfs-smoke cluster-smoke gray-smoke
+	bench-guard perfbench-selftest replay-smoke vfs-smoke cluster-smoke \
+	gray-smoke
 
 all: build
 
@@ -120,10 +121,16 @@ gray-smoke:
 	echo "gray-smoke: OK"
 
 # Compare the committed BENCH_*.json baselines against a fresh
-# regeneration of their deterministic fields, and schema-check a fresh
-# BENCH_obs.json (host timings, not committed).
+# regeneration of their deterministic fields.
 bench-guard:
 	scripts/bench_guard
+
+# Host-benchmark selftest (~1 min): short runs of each perfbench
+# workload must pass their correctness checks, repeat every exact
+# metric for one seed, change with the seed, and keep the traced
+# digest equal to the untraced one.
+perfbench-selftest:
+	python3 perfbench/run.py --selftest
 
 # Time-travel replay determinism gate: replay a pinned chaos schedule
 # (a known kill-point reproducer) to a fixed virtual time and require
@@ -164,4 +171,4 @@ vfs-smoke:
 	echo "vfs-smoke: OK"
 
 ci: build test fmt doc lint-loops lint-globals chaos-smoke replay-smoke \
-	vfs-smoke cluster-smoke gray-smoke bench-guard
+	vfs-smoke cluster-smoke gray-smoke bench-guard perfbench-selftest

@@ -6,25 +6,14 @@
    quick mode here so the whole suite completes in a couple of minutes;
    `bin/chorus_sim run --full` produces the big sweeps.
 
-   Part 2 is a Bechamel micro-benchmark suite over the runtime
-   primitives (host-side cost of simulating spawn / send / choice /
-   engine events) — one Test.make per experiment family, all in this
-   one executable, so simulator performance regressions are visible.
+   The remaining parts write the deterministic BENCH_<name>.json files
+   listed at the bottom: virtual-cycle results that are a pure
+   function of the seed, plus host_* fields that scripts/bench_guard
+   strips before comparing against the committed copies.
 
-   Part 3 writes BENCH_obs.json: the bechamel estimates plus the
-   virtual makespans of fixed scenarios with observability off and on,
-   so a driver can check both host-side overhead and that metrics /
-   tracing never perturb virtual time.
-
-   Usage: main.exe [--tables-only | --bechamel-only | --<name>-only]
-   where <name> is one of the BENCH_<name>.json files listed at the
-   bottom. *)
+   Usage: main.exe [--tables-only | --json-only | --<name>-only] *)
 
 module Experiments = Chorus_experiments.Experiments
-module Machine = Chorus_machine.Machine
-module Runtime = Chorus.Runtime
-module Fiber = Chorus.Fiber
-module Chan = Chorus.Chan
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: experiment tables                                           *)
@@ -35,230 +24,15 @@ let run_tables () =
   print_endline "=====================================================\n";
   List.iter (Experiments.run_and_print ~quick:true ~seed:42) Experiments.all
 
-(* ------------------------------------------------------------------ *)
-(* Part 2: bechamel micro-benchmarks of the simulator itself           *)
-
-let machine = lazy (Machine.mesh ~cores:16)
-
-let sim body () =
-  ignore
-    (Runtime.run (Runtime.config ~seed:1 (Lazy.force machine)) body)
-
-let bench_spawn =
-  Bechamel.Test.make ~name:"e1:spawn+join x100"
-    (Bechamel.Staged.stage
-       (sim (fun () ->
-            for _ = 1 to 100 do
-              ignore (Fiber.join (Fiber.spawn (fun () -> ())))
-            done)))
-
-let bench_rendezvous =
-  Bechamel.Test.make ~name:"e1:rendezvous ping-pong x100"
-    (Bechamel.Staged.stage
-       (sim (fun () ->
-            let c = Chan.rendezvous () and r = Chan.rendezvous () in
-            let _echo =
-              Fiber.spawn ~daemon:true (fun () ->
-                  let rec loop () =
-                    Chan.send r (Chan.recv c);
-                    loop ()
-                  in
-                  loop ())
-            in
-            for i = 1 to 100 do
-              Chan.send c i;
-              ignore (Chan.recv r)
-            done)))
-
-let bench_buffered =
-  Bechamel.Test.make ~name:"e5:buffered stream x1000"
-    (Bechamel.Staged.stage
-       (sim (fun () ->
-            let c = Chan.buffered 32 in
-            let consumer =
-              Fiber.spawn (fun () ->
-                  for _ = 1 to 1000 do
-                    ignore (Chan.recv c)
-                  done)
-            in
-            for i = 1 to 1000 do
-              Chan.send c i
-            done;
-            ignore (Fiber.join consumer))))
-
-let bench_choice =
-  Bechamel.Test.make ~name:"e6:choice over 8 channels x100"
-    (Bechamel.Staged.stage
-       (sim (fun () ->
-            let chans = Array.init 8 (fun _ -> Chan.buffered 4) in
-            let _feeder =
-              Fiber.spawn ~daemon:true (fun () ->
-                  let i = ref 0 in
-                  let rec loop () =
-                    Chan.send chans.(!i mod 8) !i;
-                    incr i;
-                    loop ()
-                  in
-                  loop ())
-            in
-            for _ = 1 to 100 do
-              ignore
-                (Chan.choose
-                   (Array.to_list
-                      (Array.map (fun c -> Chan.recv_case c (fun v -> v))
-                         chans)))
-            done)))
-
-(* the same workload with tracing+metrics off vs on: the "off" run is
-   the hot path the observability layer must not tax *)
-let plumbing () =
-  let c = Chan.buffered 16 in
-  let consumer =
-    Fiber.spawn (fun () ->
-        for _ = 1 to 500 do
-          ignore (Chan.recv c)
-        done)
-  in
-  for i = 1 to 500 do
-    Chan.send c i
-  done;
-  ignore (Fiber.join consumer)
-
-let bench_obs_off =
-  Bechamel.Test.make ~name:"obs:stream x500 (obs off)"
-    (Bechamel.Staged.stage (sim plumbing))
-
-let bench_obs_on =
-  Bechamel.Test.make ~name:"obs:stream x500 (ring+metrics)"
-    (Bechamel.Staged.stage (fun () ->
-         let reg = Chorus_obs.Metrics.create () in
-         Chorus_obs.Metrics.install reg;
-         let sink, _get, _dropped = Chorus.Trace.ring ~capacity:4096 () in
-         ignore
-           (Runtime.run
-              (Runtime.config ~trace:sink ~seed:1 (Lazy.force machine))
-              plumbing);
-         Chorus_obs.Metrics.uninstall ()))
-
-let bench_sleep_timers =
-  Bechamel.Test.make ~name:"engine:1000 timers"
-    (Bechamel.Staged.stage
-       (sim (fun () ->
-            let fibers =
-              List.init 100 (fun i ->
-                  Fiber.spawn (fun () ->
-                      for _ = 1 to 10 do
-                        Fiber.sleep (100 + i)
-                      done))
-            in
-            List.iter (fun f -> ignore (Fiber.join f)) fibers)))
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "\n=====================================================";
-  print_endline " Bechamel: host-side cost of the simulator primitives";
-  print_endline "=====================================================\n";
-  let tests =
-    Test.make_grouped ~name:"chorus"
-      [ bench_spawn; bench_rendezvous; bench_buffered; bench_choice;
-        bench_sleep_timers; bench_obs_off; bench_obs_on ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> rows := (name, est) :: !rows
-      | Some [] | None -> ())
-    results;
-  Printf.printf "%-40s %16s\n" "primitive benchmark" "host ns/run";
-  Printf.printf "%s\n" (String.make 57 '-');
-  List.iter
-    (fun (name, est) -> Printf.printf "%-40s %16.0f\n" name est)
-    (List.sort compare !rows);
-  List.sort compare !rows
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: machine-readable results                                    *)
-
+(* write one BENCH_<name>.json *)
 let save file b =
   let oc = open_out file in
   output_string oc (Buffer.contents b);
   close_out oc;
   Printf.printf "\nwrote %s\n" file
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* deterministic virtual makespans: the kernel file workload from
-   `chorus_sim trace`, with observability off and on — the two must be
-   equal, observability never advances virtual time *)
-let fixed_scenarios () =
-  let module Kernel = Chorus_kernel.Kernel in
-  let module Msgvfs = Chorus_kernel.Msgvfs in
-  let workload () =
-    let kern = Kernel.boot Kernel.default_config in
-    let fs = Kernel.fs_client kern in
-    ignore (Msgvfs.mkdir fs "/tmp");
-    ignore (Msgvfs.create fs "/tmp/hello");
-    match Msgvfs.open_ fs "/tmp/hello" with
-    | Ok fd ->
-      ignore (Msgvfs.write fs fd ~off:0 "bench!");
-      ignore (Msgvfs.read fs fd ~off:0 ~len:6)
-    | Error _ -> ()
-  in
-  let mesh = Chorus_machine.Machine.mesh ~cores:8 in
-  let off = Runtime.run (Runtime.config ~seed:1 mesh) workload in
-  let reg = Chorus_obs.Metrics.create () in
-  Chorus_obs.Metrics.install reg;
-  let sink, _get, _dropped = Chorus.Trace.ring ~capacity:65536 () in
-  let on = Runtime.run (Runtime.config ~trace:sink ~seed:1 mesh) workload in
-  Chorus_obs.Metrics.uninstall ();
-  [ ("kernel_file_ops_obs_off", off.Chorus.Runstats.makespan);
-    ("kernel_file_ops_obs_on", on.Chorus.Runstats.makespan) ]
-
-let write_json file bech_rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema\": \"chorus-bench-obs-v1\",\n";
-  Buffer.add_string b "  \"bechamel_ns_per_run\": {";
-  List.iteri
-    (fun i (name, est) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n    \"%s\": %.1f" (json_escape name) est))
-    bech_rows;
-  Buffer.add_string b "\n  },\n  \"virtual_makespans\": {";
-  List.iteri
-    (fun i (name, cycles) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "\n    \"%s\": %d" (json_escape name) cycles))
-    (fixed_scenarios ());
-  Buffer.add_string b "\n  }\n}\n";
-  save file b
-
 (* ------------------------------------------------------------------ *)
-(* Part 4: cluster macro-benchmark                                     *)
+(* Part 2: cluster macro-benchmark                                     *)
 
 (* Steady-state put cost and the data-plane failover window as the
    replica group widens, plus the E24 hot-path curves (throughput/p99
@@ -365,7 +139,7 @@ let write_cluster_json file =
   save file b
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: service-plane overload macro-benchmark                      *)
+(* Part 3: service-plane overload macro-benchmark                      *)
 
 (* Goodput and tail latency for each overload policy as offered load
    sweeps past the service rate, in virtual cycles.  Reuses the E21
@@ -410,7 +184,7 @@ let write_overload_json file =
   save file b
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: chaos campaign                                              *)
+(* Part 4: chaos campaign                                              *)
 
 (* The full fault-space campaign at the acceptance scale, plus the
    oracle selftest.  Every field except the host_* lines and runs/sec
@@ -502,7 +276,7 @@ let write_chaos_json ?(domains = 1) file =
   save file b
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: projected filesystem                                        *)
+(* Part 5: projected filesystem                                        *)
 
 (* Cold vs warm open+read over the projection, the hydration-storm
    sweep across overload policies (reusing the E23 drivers), and a
@@ -580,7 +354,7 @@ let write_vfs_json file =
   save file b
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: gray failure                                                *)
+(* Part 6: gray failure                                                *)
 
 (* The E25 posture grid (healthy fabric + gray node, four client
    postures each) plus the gray chaos campaign at acceptance scale.
@@ -710,10 +484,5 @@ let () =
   with
   | Some bench -> write bench
   | None ->
-    let tables = not (List.mem "--bechamel-only" args) in
-    let bech = not (List.mem "--tables-only" args) in
-    if tables then run_tables ();
-    if bech then begin
-      write_json "BENCH_obs.json" (run_bechamel ());
-      List.iter write benches
-    end
+    if not (List.mem "--json-only" args) then run_tables ();
+    if not (List.mem "--tables-only" args) then List.iter write benches

@@ -537,23 +537,10 @@ let cluster_cmd =
             Client.create ~seed ~bootstrap:(Cluster.addrs c) cstack
           in
           Fiber.sleep 1_000_000;
-          let injector =
-            if crashes > 0 then begin
-              let addrs = Array.of_list (Cluster.addrs c) in
-              Some
-                (Faults.start_actions
-                   { Faults.mean_interval = 500_000;
-                     crashes;
-                     seed = seed + 7 }
-                   ~inject:(fun ~n ->
-                     let a = addrs.(n mod Array.length addrs) in
-                     if Cluster.node_up c a then begin
-                       Cluster.crash_node c a;
-                       true
-                     end
-                     else false))
-            end
-            else None
+          let wait_crashes =
+            Faults.start
+              (Chorus_experiments.E20_cluster.crash_plan c ~seed:(seed + 7)
+                 ~mean_gap:500_000 ~count:crashes)
           in
           let acked = ref 0 and unavailable = ref 0 and wrong = ref 0 in
           for i = 0 to ops - 1 do
@@ -565,7 +552,7 @@ let cluster_cmd =
             | `Found v when v = string_of_int i -> ()
             | `Found _ | `Miss | `Net_fail -> incr wrong
           done;
-          (match injector with Some inj -> Faults.wait inj | None -> ());
+          wait_crashes ();
           let t =
             Tablefmt.create
               ~title:

@@ -77,9 +77,10 @@ type run = {
 let viol r fmt = Printf.ksprintf (fun m -> r.viols <- m :: r.viols) fmt
 
 (* Fault actions: [add] schedules a thunk at a virtual time, [window]
-   an on/off pair counted as one injected fault.  The injector breaks
-   same-time ties by list order (latest [add] first), so a scenario's
-   order of [add] calls is part of its digest. *)
+   an on/off pair counted as one injected fault.  [r.actions] is the
+   run's plan for {!Faults.start}, which breaks same-time ties by list
+   order (latest [add] first), so a scenario's order of [add] calls is
+   part of its digest. *)
 let add r t f = r.actions <- (t, f) :: r.actions
 
 let window r at dur on off =
@@ -87,31 +88,6 @@ let window r at dur on off =
   add r at (fun () ->
       r.injected <- r.injected + 1;
       on ())
-
-(* Turn the run's actions into one schedule-driven injector; the
-   result waits for it to finish.  Times are nudged apart when equal
-   so the sorted order is unambiguous. *)
-let start_injector r =
-  match r.actions with
-  | [] -> ignore
-  | l ->
-    let l = List.stable_sort (fun (a, _) (b, _) -> compare a b) l in
-    let rec spread last = function
-      | [] -> []
-      | (t, f) :: rest ->
-        let t = if t <= last then last + 1 else t in
-        (t, f) :: spread t rest
-    in
-    let l = spread (-1) l in
-    let arr = Array.of_list l in
-    let inj =
-      Faults.start_schedule
-        ~at:(List.map fst l)
-        ~inject:(fun ~n ->
-          (snd arr.(n - 1)) ();
-          true)
-    in
-    fun () -> Faults.wait inj
 
 (* The fabric-wide and per-link fault windows; other kinds are left to
    the scenario. *)
@@ -383,7 +359,7 @@ let prepare_disk ~corrupt (sch : Schedule.t) =
           (fun () -> Blockdev.set_read_fault dev ())
       | _ -> ())
     sch.Schedule.faults;
-  let wait_injector = start_injector r in
+  let wait_injector = Faults.start r.actions in
   (* workload: 2 procs x 10 single-attempt ops on 4 shared keys *)
   let keys = [| "k0"; "k1"; "k2"; "k3" |] in
   let one_shot req map =
@@ -605,7 +581,7 @@ let prepare_kv mode ~corrupt (sch : Schedule.t) =
             end)
       | f -> fabric_fault r net f)
     sch.Schedule.faults;
-  let wait_injector = start_injector r in
+  let wait_injector = Faults.start r.actions in
   let keys = [| "k0"; "k1"; "k2" |] in
   let read cl key =
     match Client.get cl key with
@@ -793,7 +769,7 @@ let prepare_projfs ~corrupt (sch : Schedule.t) =
          sch.Schedule.faults)
   in
   List.iter (fabric_fault r net) sch.Schedule.faults;
-  let wait_injector = start_injector r in
+  let wait_injector = Faults.start r.actions in
   (* the workload's read set, plus one file it never touches for the
      post-fault cold-hydration probe *)
   let file_idx proc i = ((proc * 13) + (i * 7)) mod cat.Provider.nfiles in

@@ -3,9 +3,10 @@
 
    A bank of 8 request-processing services is driven by 24 clients
    (every call guarded by a timeout — lost requests count as failures).
-   A fault injector crashes random services at exponentially
-   distributed intervals.  Three recovery postures: none (dead services
-   stay dead), one_for_one supervision, one_for_all supervision.
+   A fault plan, fixed before the run, crashes random services at
+   exponentially distributed times.  Three recovery postures: none
+   (dead services stay dead), one_for_one supervision, one_for_all
+   supervision.
 
    Availability = successful requests / issued; "nines" is
    -log10(1 - availability).  The Erlang claim is that supervision
@@ -71,17 +72,22 @@ let run_posture ~quick ~seed ~crash_interval posture =
                       { Supervisor.cname = Printf.sprintf "svc-%d" i;
                         cstart = (fun () -> start i) })))
         in
-        (* fault injection: kill a random live service *)
+        (* fault injection: at each planned time kill a random service,
+           if its current incarnation is alive *)
         let vic_rng = Rng.make (seed + 99) in
-        let injector =
-          Faults.start
-            { Faults.mean_interval = crash_interval;
-              crashes = pick ~quick 60 300;
-              seed = seed + 7 }
-            ~victims:(fun () ->
-              current.(Rng.int vic_rng nservices))
+        let kill () =
+          match current.(Rng.int vic_rng nservices) with
+          | Some f when Fiber.alive f -> Fiber.kill f
+          | Some _ | None -> ()
         in
-        ignore injector;
+        let (_ : unit -> unit) =
+          Faults.start
+            (List.map
+               (fun at -> (at, kill))
+               (Faults.exponential_times ~seed:(seed + 7)
+                  ~mean_gap:crash_interval ~count:(pick ~quick 60 300)
+                  ~start:(Fiber.now ())))
+        in
         (* clients: calls with timeouts; a timeout is a failed request *)
         let succeeded = ref 0 and failed = ref 0 in
         let clients =

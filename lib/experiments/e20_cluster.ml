@@ -34,6 +34,20 @@ let mk ~loss ~seed ~nnodes ~replication net_seed =
   let client = Client.create ~seed ~bootstrap:(Cluster.addrs c) cstack in
   (c, client)
 
+(* The rolling node-crash plan, counted from now: the [n]-th of
+   [count] exponentially spaced crashes (1-based) hits address
+   [n mod nnodes] of [Cluster.addrs], if that node is up.  E20 and
+   [chorus_sim cluster --crashes] both use it. *)
+let crash_plan c ~seed ~mean_gap ~count =
+  let addrs = Array.of_list (Cluster.addrs c) in
+  List.mapi
+    (fun i at ->
+      ( at,
+        fun () ->
+          let a = addrs.((i + 1) mod Array.length addrs) in
+          if Cluster.node_up c a then Cluster.crash_node c a ))
+    (Faults.exponential_times ~seed ~mean_gap ~count ~start:(Fiber.now ()))
+
 (* One posture of the availability matrix: [ops] writes with rolling
    node crashes, then every acked key is read back and checked. *)
 let run_posture ~quick ~seed ~loss ~crash =
@@ -44,23 +58,11 @@ let run_posture ~quick ~seed ~loss ~crash =
           mk ~loss ~seed ~nnodes:5 ~replication:3 (seed + 1)
         in
         Fiber.sleep 1_000_000;
-        let injector =
-          if crash then begin
-            let addrs = Array.of_list (Cluster.addrs c) in
-            Some
-              (Faults.start_actions
-                 { Faults.mean_interval = pick ~quick 400_000 600_000;
-                   crashes = pick ~quick 4 10;
-                   seed = seed + 7 }
-                 ~inject:(fun ~n ->
-                   let a = addrs.(n mod Array.length addrs) in
-                   if Cluster.node_up c a then begin
-                     Cluster.crash_node c a;
-                     true
-                   end
-                   else false))
-            end
-          else None
+        let wait_crashes =
+          Faults.start
+            (crash_plan c ~seed:(seed + 7)
+               ~mean_gap:(pick ~quick 400_000 600_000)
+               ~count:(if crash then pick ~quick 4 10 else 0))
         in
         let acked = ref [] and lost = ref 0 in
         for i = 0 to ops - 1 do
@@ -69,7 +71,7 @@ let run_posture ~quick ~seed ~loss ~crash =
           | `Ok -> acked := i :: !acked
           | `Net_fail -> incr lost
         done;
-        (match injector with Some inj -> Faults.wait inj | None -> ());
+        wait_crashes ();
         Fiber.sleep 1_000_000;
         let bad_reads = ref 0 in
         List.iter

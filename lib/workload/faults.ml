@@ -2,59 +2,37 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Rng = Chorus_util.Rng
 
-type config = { mean_interval : int; crashes : int; seed : int }
+let exponential_times ~seed ~mean_gap ~count ~start =
+  let rng = Rng.make seed in
+  let rec go n t =
+    if n <= 0 then []
+    else
+      let t =
+        t + 1 + int_of_float (Rng.exponential rng (float_of_int mean_gap))
+      in
+      t :: go (n - 1) t
+  in
+  go count start
 
-type t = {
-  mutable injected : int;
-  mutable log : int list;  (** reversed *)
-  done_ch : unit Chan.t;
-}
-
-let start_actions cfg ~inject =
-  let t = { injected = 0; log = []; done_ch = Chan.buffered 1 } in
-  let rng = Rng.make cfg.seed in
-  ignore
-    (Fiber.spawn ~label:"fault-injector" ~daemon:true (fun () ->
-         for n = 1 to cfg.crashes do
-           let gap =
-             1 + int_of_float (Rng.exponential rng (float_of_int cfg.mean_interval))
-           in
-           Fiber.sleep gap;
-           if inject ~n then begin
-             t.injected <- t.injected + 1;
-             t.log <- Fiber.now () :: t.log
-           end
-         done;
-         Chan.send t.done_ch ()));
-  t
-
-let start_schedule ~at ~inject =
-  let t = { injected = 0; log = []; done_ch = Chan.buffered 1 } in
-  let at = List.sort compare at in
-  ignore
-    (Fiber.spawn ~label:"fault-injector" ~daemon:true (fun () ->
-         List.iteri
-           (fun i when_ ->
-             let now = Fiber.now () in
-             if when_ > now then Fiber.sleep (when_ - now);
-             if inject ~n:(i + 1) then begin
-               t.injected <- t.injected + 1;
-               t.log <- Fiber.now () :: t.log
-             end)
-           at;
-         Chan.send t.done_ch ()));
-  t
-
-let start cfg ~victims =
-  start_actions cfg ~inject:(fun ~n:_ ->
-      match victims () with
-      | Some f when Fiber.alive f ->
-        Fiber.kill f;
-        true
-      | Some _ | None -> false)
-
-let injected t = t.injected
-
-let log t = List.rev t.log
-
-let wait t = Chan.recv t.done_ch
+let start = function
+  | [] -> ignore
+  | plan ->
+    let plan = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) plan in
+    let rec spread last = function
+      | [] -> []
+      | (t, f) :: rest ->
+        let t = if t <= last then last + 1 else t in
+        (t, f) :: spread t rest
+    in
+    let plan = spread (-1) plan in
+    let done_ch = Chan.buffered 1 in
+    ignore
+      (Fiber.spawn ~label:"fault-injector" ~daemon:true (fun () ->
+           List.iter
+             (fun (at, action) ->
+               let now = Fiber.now () in
+               if at > now then Fiber.sleep (at - now);
+               action ())
+             plan;
+           Chan.send done_ch ()));
+    fun () -> Chan.recv done_ch

@@ -1,40 +1,21 @@
-(** Failure injection.
+(** Fault injection.
 
-    Kills victim fibers at exponentially distributed intervals —
-    the component-crash load for the supervision/availability
-    experiment (E10).  Deterministic in the seed. *)
+    A fault plan is a list of [(time, action)] pairs fixed before the
+    run starts: every time is an absolute virtual time, so when a fault
+    fires never depends on what earlier faults cost.  Replaying the
+    same plan replays the same faults.  This is the one injector behind
+    the chaos engine, the service-crash load of E10 and the rolling
+    node crashes of E20. *)
 
-type config = {
-  mean_interval : int;  (** mean cycles between injected crashes *)
-  crashes : int;  (** how many to inject in total *)
-  seed : int;
-}
+val start : (int * (unit -> unit)) list -> unit -> unit
+(** [start plan] runs [plan] from a daemon fiber and returns a thunk
+    that blocks until every action has run.  Actions fire in time
+    order, equal times in plan order (each nudged one cycle after the
+    one before); a time already past fires at once.  An empty plan
+    spawns no fiber and its thunk returns at once. *)
 
-type t
-
-val start : config -> victims:(unit -> Chorus.Fiber.t option) -> t
-(** [victims] picks the next fiber to kill (e.g. a random live service
-    from a registry); [None] skips that injection.  The injector runs
-    as a daemon fiber. *)
-
-val start_actions : config -> inject:(n:int -> bool) -> t
-(** Generalized injector for faults that are not a single fiber kill:
-    [inject ~n] performs the [n]-th fault (1-based) — e.g. crash a
-    whole cluster node — returning whether anything was actually
-    injected.  Same exponential schedule and determinism as
-    {!start}. *)
-
-val start_schedule : at:int list -> inject:(n:int -> bool) -> t
-(** Schedule-driven injector (the chaos engine's mode): fire the
-    [n]-th injection at the [n]-th absolute virtual time in [at]
-    (sorted internally; times already past fire immediately).  No RNG
-    at all — the schedule {e is} the fault plan, so replaying the same
-    schedule replays the same faults. *)
-
-val injected : t -> int
-
-val log : t -> int list
-(** Injection times, oldest first. *)
-
-val wait : t -> unit
-(** Block until all configured crashes have been injected. *)
+val exponential_times :
+  seed:int -> mean_gap:int -> count:int -> start:int -> int list
+(** [count] absolute times after [start], separated by exponentially
+    distributed gaps of mean [mean_gap] cycles (each at least 1).
+    Deterministic in [seed]. *)

@@ -329,6 +329,41 @@ let test_chrome_escaping () =
     (json_valid (Chrome_trace.to_string records))
 
 (* ------------------------------------------------------------------ *)
+(* Observer effect                                                     *)
+
+(* The kernel file workload of `chorus_sim trace`, run with
+   observability off and then with a trace ring and a metrics registry
+   installed: observing never advances virtual time, so the two
+   makespans are equal. *)
+let test_kernel_makespan_obs_on_equals_off () =
+  let module Kernel = Chorus_kernel.Kernel in
+  let module Msgvfs = Chorus_kernel.Msgvfs in
+  let workload () =
+    let kern = Kernel.boot Kernel.default_config in
+    let fs = Kernel.fs_client kern in
+    ignore (Msgvfs.mkdir fs "/tmp");
+    ignore (Msgvfs.create fs "/tmp/hello");
+    match Msgvfs.open_ fs "/tmp/hello" with
+    | Ok fd ->
+      ignore (Msgvfs.write fs fd ~off:0 "bench!");
+      ignore (Msgvfs.read fs fd ~off:0 ~len:6)
+    | Error _ -> Alcotest.fail "open /tmp/hello failed"
+  in
+  let mesh = Machine.mesh ~cores:8 in
+  let off = Runtime.run (Runtime.config ~seed:1 mesh) workload in
+  let on =
+    with_registry @@ fun _ ->
+    let sink, get, _dropped = Trace.ring ~capacity:65536 () in
+    let on = Runtime.run (Runtime.config ~trace:sink ~seed:1 mesh) workload in
+    Alcotest.(check bool) "the ring saw the run" true (get () <> []);
+    on
+  in
+  Alcotest.(check bool) "the workload ran" true
+    (off.Chorus.Runstats.makespan > 0);
+  Alcotest.(check int) "makespan with ring+metrics = without"
+    off.Chorus.Runstats.makespan on.Chorus.Runstats.makespan
+
+(* ------------------------------------------------------------------ *)
 (* Default-trace factory                                               *)
 
 let test_default_trace_factory () =
@@ -374,6 +409,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
           Alcotest.test_case "unclosed span" `Quick test_chrome_unclosed_span;
           Alcotest.test_case "escaping" `Quick test_chrome_escaping ] );
+      ( "observer",
+        [ Alcotest.test_case "kernel makespan obs on = off" `Quick
+            test_kernel_makespan_obs_on_equals_off ] );
       ( "runtime",
         [ Alcotest.test_case "default trace factory" `Quick
             test_default_trace_factory ] ) ]

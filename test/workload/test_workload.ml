@@ -156,7 +156,14 @@ let test_gui_peer_updates_faster () =
 (* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
 
-let test_faults_kill_victims () =
+(* Each action kills a victim and then works, so it charges cycles;
+   with absolute plan times that cost never shifts a later fault.  An
+   action observes its planned time plus the one fiber switch that
+   resumes the injector. *)
+let test_faults_exact_times () =
+  let switch =
+    (Machine.costs (Machine.mesh ~cores:16)).Chorus_machine.Cost.fiber_switch
+  in
   let (_ : Runstats.t) =
     run (fun () ->
         let victims =
@@ -164,18 +171,26 @@ let test_faults_kill_victims () =
               Fiber.spawn ~label:(Printf.sprintf "victim-%d" i) ~daemon:true
                 (fun () -> Fiber.sleep 100_000_000))
         in
-        let next = ref 0 in
-        let injector =
-          Faults.start
-            { Faults.mean_interval = 1_000; crashes = 4; seed = 3 }
-            ~victims:(fun () ->
-              let v = victims.(!next) in
-              incr next;
-              Some v)
+        let planned =
+          Faults.exponential_times ~seed:3 ~mean_gap:10_000 ~count:4
+            ~start:(Fiber.now () + 1_000)
         in
-        Faults.wait injector;
-        Alcotest.(check int) "all injected" 4 (Faults.injected injector);
-        Alcotest.(check int) "log matches" 4 (List.length (Faults.log injector));
+        let fired = ref [] in
+        let wait =
+          Faults.start
+            (List.mapi
+               (fun i at ->
+                 ( at,
+                   fun () ->
+                     fired := Fiber.now () :: !fired;
+                     Fiber.kill victims.(i);
+                     Fiber.work 200 ))
+               planned)
+        in
+        wait ();
+        Alcotest.(check (list int)) "fired at the planned times"
+          (List.map (fun at -> at + switch) planned)
+          (List.rev !fired);
         Array.iter
           (fun v ->
             Alcotest.(check bool) "victim dead" false (Fiber.alive v))
@@ -183,77 +198,43 @@ let test_faults_kill_victims () =
   in
   ()
 
-let test_faults_skip_none () =
+let test_faults_equal_times_in_plan_order () =
   let (_ : Runstats.t) =
     run (fun () ->
-        let injector =
+        let fired = ref [] in
+        let act name () = fired := name :: !fired in
+        let wait =
           Faults.start
-            { Faults.mean_interval = 100; crashes = 5; seed = 1 }
-            ~victims:(fun () -> None)
+            [ (5_000, act "a"); (1_000, act "b"); (5_000, act "c");
+              (5_000, act "d") ]
         in
-        Faults.wait injector;
-        Alcotest.(check int) "nothing injected" 0 (Faults.injected injector))
-  in
-  ()
-
-let test_faults_schedule_exact_times () =
-  let (_ : Runstats.t) =
-    run (fun () ->
-        let seen = ref [] in
-        let injector =
-          (* deliberately unsorted: the schedule sorts internally *)
-          Faults.start_schedule ~at:[ 9_000; 1_000; 5_000 ]
-            ~inject:(fun ~n ->
-              seen := (n, Fiber.now ()) :: !seen;
-              true)
-        in
-        Faults.wait injector;
-        Alcotest.(check int) "all injected" 3 (Faults.injected injector);
-        (* the injector wakes at the first instant >= the scheduled
-           time; fiber scheduling itself costs a few cycles *)
-        List.iter2
-          (fun scheduled fired ->
-            Alcotest.(check bool)
-              (Printf.sprintf "fired at ~%d (%d)" scheduled fired)
-              true
-              (fired >= scheduled && fired < scheduled + 1_000))
-          [ 1_000; 5_000; 9_000 ] (Faults.log injector);
-        Alcotest.(check (list int)) "inject saw 1-based indices in order"
-          [ 1; 2; 3 ]
-          (List.rev_map fst !seen))
+        wait ();
+        Alcotest.(check (list string)) "time order, ties in plan order"
+          [ "b"; "a"; "c"; "d" ] (List.rev !fired))
   in
   ()
 
 let test_faults_schedule_outlives_workload () =
-  (* a schedule extending far past the workload must not wedge the
-     run: the injector is a daemon fiber, virtual time is free, so the
-     run still terminates and the late injection fires at its
-     scheduled (virtual) instant long after the real work ended *)
-  let injector = ref None in
+  (* a plan extending far past the workload must not wedge the run:
+     the injector is a daemon fiber, virtual time is free, so the run
+     still terminates and the late action fires at its planned
+     (virtual) instant long after the real work ended *)
   let times = ref [] in
+  let fire () = times := Fiber.now () :: !times in
   let (_ : Runstats.t) =
     run (fun () ->
-        injector :=
-          Some
-            (Faults.start_schedule
-               ~at:[ 1_000; 60_000_000_000 ]
-               ~inject:(fun ~n:_ ->
-                 times := Fiber.now () :: !times;
-                 true));
+        let (_ : unit -> unit) =
+          Faults.start [ (1_000, fire); (60_000_000_000, fire) ]
+        in
         Fiber.sleep 10_000)
   in
-  (match !injector with
-  | None -> Alcotest.fail "injector never started"
-  | Some t ->
-    Alcotest.(check int) "both injections fired" 2 (Faults.injected t);
-    match List.rev !times with
-    | [ first; late ] ->
-      Alcotest.(check bool) "first fired during the workload" true
-        (first < 10_000);
-      Alcotest.(check bool) "late one fired past the workload's end" true
-        (late >= 60_000_000_000)
-    | l -> Alcotest.failf "expected 2 injection times, got %d" (List.length l));
-  ()
+  match List.rev !times with
+  | [ first; late ] ->
+    Alcotest.(check bool) "first fired during the workload" true
+      (first < 10_000);
+    Alcotest.(check bool) "late one fired past the workload's end" true
+      (late >= 60_000_000_000)
+  | l -> Alcotest.failf "expected 2 injection times, got %d" (List.length l)
 
 let () =
   Alcotest.run "chorus-workload"
@@ -275,9 +256,9 @@ let () =
           Alcotest.test_case "peer faster updates" `Quick
             test_gui_peer_updates_faster ] );
       ( "faults",
-        [ Alcotest.test_case "kills victims" `Quick test_faults_kill_victims;
-          Alcotest.test_case "skips none" `Quick test_faults_skip_none;
-          Alcotest.test_case "schedule exact times" `Quick
-            test_faults_schedule_exact_times;
+        [ Alcotest.test_case "schedule exact times" `Quick
+            test_faults_exact_times;
+          Alcotest.test_case "equal times in plan order" `Quick
+            test_faults_equal_times_in_plan_order;
           Alcotest.test_case "schedule outlives workload" `Quick
             test_faults_schedule_outlives_workload ] ) ]
