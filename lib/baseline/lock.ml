@@ -71,9 +71,9 @@ let acquire t =
    are skipped); the new holder observes the release only after the
    lock line travels from the releasing core. *)
 let rec hand_off t eng ~from_core =
-  match Deque.pop_front t.waiters with
-  | None -> t.holder <- None
-  | Some w ->
+  if Deque.is_empty t.waiters then t.holder <- None
+  else begin
+    let w = Deque.take_front t.waiters in
     if Engine.waker_live w.waker then begin
       let m = Engine.machine eng in
       let now = Engine.now eng in
@@ -86,6 +86,7 @@ let rec hand_off t eng ~from_core =
       Engine.wake_at w.waker (now + delay) ()
     end
     else hand_off t eng ~from_core
+  end
 
 let release t =
   let eng = Engine.current () in

@@ -82,29 +82,27 @@ let acquire_write t =
 
 (* Wake the next writer, or a batch of leading readers. *)
 let rec wake_next t eng =
-  match Deque.peek_front t.waiters with
-  | None -> ()
-  | Some { kind = Writer; _ } ->
-    let w = Option.get (Deque.pop_front t.waiters) in
-    if Engine.waker_live w.waker then begin
-      t.writer <- true;
-      Engine.wake_at w.waker (Engine.now eng) ()
-    end
-    else wake_next t eng
-  | Some { kind = Reader; _ } ->
-    let rec drain () =
-      match Deque.peek_front t.waiters with
-      | Some { kind = Reader; _ } ->
-        let w = Option.get (Deque.pop_front t.waiters) in
+  if not (Deque.is_empty t.waiters) then
+    match (Deque.front t.waiters).kind with
+    | Writer ->
+      let w = Deque.take_front t.waiters in
+      if Engine.waker_live w.waker then begin
+        t.writer <- true;
+        Engine.wake_at w.waker (Engine.now eng) ()
+      end
+      else wake_next t eng
+    | Reader ->
+      while
+        (not (Deque.is_empty t.waiters))
+        && (Deque.front t.waiters).kind = Reader
+      do
+        let w = Deque.take_front t.waiters in
         if Engine.waker_live w.waker then begin
           t.active_readers <- t.active_readers + 1;
           Engine.wake_at w.waker (Engine.now eng) ()
-        end;
-        drain ()
-      | Some { kind = Writer; _ } | None -> ()
-    in
-    drain ();
-    if t.active_readers = 0 then wake_next t eng
+        end
+      done;
+      if t.active_readers = 0 then wake_next t eng
 
 let release_read t =
   let eng = Engine.current () in

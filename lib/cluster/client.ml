@@ -2,6 +2,7 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Stack = Chorus_net.Stack
 module Rng = Chorus_util.Rng
+module Int_tbl = Chorus_util.Int_tbl
 module Rcu = Chorus_util.Rcu
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
@@ -35,12 +36,12 @@ type t = {
       (* per-operation deadline budget in cycles: an operation that
          outlives it fails fast with [`Net_fail] instead of burning
          its remaining attempts *)
-  breakers : (int, node_breaker) Hashtbl.t;  (* node addr -> breaker *)
+  breakers : node_breaker Int_tbl.t;  (* node addr -> breaker *)
   rng : Rng.t;
   map : Shardmap.snapshot option Rcu.t;
       (* RCU-published routing snapshot: the op hot path reads it
          lock-free; a stale-map verdict publishes a fresh one *)
-  hints : (int, int) Hashtbl.t;  (* shard -> last known leader *)
+  hints : int Int_tbl.t;  (* shard -> last known leader *)
   mutable retries : int;
   mutable redirects : int;
   mutable failed : int;
@@ -77,10 +78,10 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
       backoff_cap;
       breaker;
       op_budget;
-      breakers = Hashtbl.create 8;
+      breakers = Int_tbl.create 8;
       rng = Rng.make (seed lxor (0x0c11e47 + (977 * Stack.addr stack)));
       map = Rcu.make None;
-      hints = Hashtbl.create 8;
+      hints = Int_tbl.create 8;
       retries = 0;
       redirects = 0;
       failed = 0;
@@ -129,7 +130,7 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
                  ("probes", Int t.probes);
                  ("open_now",
                   Int
-                    (Hashtbl.fold
+                    (Int_tbl.fold
                        (fun _ b acc ->
                          match b.bst with
                          | `Open_until _ -> acc + 1
@@ -146,11 +147,11 @@ let create ?(attempts = 10) ?(call_timeout = 60_000) ?(backoff_base = 15_000)
    default client is unchanged.                                       *)
 
 let bk t node =
-  match Hashtbl.find_opt t.breakers node with
+  match Int_tbl.find_opt t.breakers node with
   | Some b -> b
   | None ->
     let b = { bst = `Closed; fails = 0 } in
-    Hashtbl.replace t.breakers node b;
+    Int_tbl.replace t.breakers node b;
     b
 
 (* Is the node's breaker open right now?  An expired cooldown
@@ -191,14 +192,14 @@ let record_success t node =
   match t.breaker with
   | None -> ()
   | Some _ -> (
-    match Hashtbl.find_opt t.breakers node with
+    match Int_tbl.find_opt t.breakers node with
     | None -> ()
     | Some b ->
       b.bst <- `Closed;
       b.fails <- 0)
 
 let breaker_state t node : breaker_state =
-  match Hashtbl.find_opt t.breakers node with
+  match Int_tbl.find_opt t.breakers node with
   | None -> `Closed
   | Some b -> (
     match b.bst with
@@ -304,12 +305,12 @@ let operation t ~key ~req =
     let replicas = Shardmap.replicas map shard in
     let nrep = Array.length replicas in
     let target = ref
-        (match Hashtbl.find_opt t.hints shard with
+        (match Int_tbl.find_opt t.hints shard with
         | Some a -> a
         | None -> replicas.(0))
     and rotation = ref 0 in
     let rotate () =
-      Hashtbl.remove t.hints shard;
+      Int_tbl.remove t.hints shard;
       incr rotation;
       target := replicas.(!rotation mod nrep)
     in
@@ -324,7 +325,7 @@ let operation t ~key ~req =
             if breaker_blocks t cand then scan (k + 1)
             else begin
               t.breaker_skips <- t.breaker_skips + 1;
-              Hashtbl.remove t.hints shard;
+              Int_tbl.remove t.hints shard;
               target := cand
             end
           end
@@ -376,20 +377,20 @@ let operation t ~key ~req =
           record_success t !target;
           match reply.[0] with
           | 'A' ->
-            Hashtbl.replace t.hints shard !target;
+            Int_tbl.replace t.hints shard !target;
             `Acked
           | 'F' ->
-            Hashtbl.replace t.hints shard !target;
+            Int_tbl.replace t.hints shard !target;
             `Found (String.sub reply 1 (String.length reply - 1))
           | 'M' ->
-            Hashtbl.replace t.hints shard !target;
+            Int_tbl.replace t.hints shard !target;
             `Miss
           | 'L' -> (
             match int_of_string_opt (String.sub reply 1 (String.length reply - 1)) with
             | Some hint when hint >= 0 && hint <> !target ->
               (* free fast-path: the follower told us who leads *)
               t.redirects <- t.redirects + 1;
-              Hashtbl.replace t.hints shard hint;
+              Int_tbl.replace t.hints shard hint;
               target := hint;
               retry ~redirect:true ()
             | Some _ | None ->
@@ -464,7 +465,7 @@ let submit p op =
   if t.inflight > t.inflight_hwm then t.inflight_hwm <- t.inflight;
   ignore
     (Fiber.spawn
-       ~label:(Printf.sprintf "pipe-op-%d" seq)
+       ~label:("pipe-op-" ^ string_of_int seq)
        ~daemon:true
        (fun () ->
          let result : op_result =

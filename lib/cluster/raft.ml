@@ -2,6 +2,7 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Stack = Chorus_net.Stack
 module Rng = Chorus_util.Rng
+module Int_tbl = Chorus_util.Int_tbl
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
 module Svc = Chorus_svc.Svc
@@ -85,7 +86,7 @@ type t = {
   mutable term_start : int;
       (* index of this term's pinning Nop; leased reads need
          commit_idx >= term_start (current-term commitment) *)
-  waiters : (int, int * wait_result Chan.t) Hashtbl.t;
+  waiters : (int * wait_result Chan.t) Int_tbl.t;
       (* log index -> (expected term, reply channel) *)
   mutable lineage : int;
       (* bumped by reset_volatile; fibers of older lineages exit *)
@@ -126,7 +127,7 @@ let create cfg ~stack ~raft_port ~shard ~peers ~on_event =
     batch_pending = 0;
     lease_acked = Array.map (fun _ -> -1) peers;
     term_start = 0;
-    waiters = Hashtbl.create 8;
+    waiters = Int_tbl.create 8;
     lineage = 0;
     elections = 0;
     won = 0;
@@ -202,7 +203,7 @@ let reset_volatile t =
   t.batch_kick <- None;
   t.batch_pending <- 0;
   Array.fill t.lease_acked 0 (Array.length t.lease_acked) (-1);
-  Hashtbl.reset t.waiters;
+  Int_tbl.reset t.waiters;
   t.last_heartbeat <- Fiber.now ()
 
 (* ------------------------------------------------------------------ *)
@@ -225,10 +226,10 @@ let apply t =
     Fiber.work 120;
     let result = apply_cmd t e.cmd in
     t.applied <- idx;
-    match Hashtbl.find_opt t.waiters idx with
+    match Int_tbl.find_opt t.waiters idx with
     | None -> ()
     | Some (expected_term, ch) ->
-      Hashtbl.remove t.waiters idx;
+      Int_tbl.remove t.waiters idx;
       (* a different entry can occupy the index after a truncation;
          answer the waiter only when it is literally its own command *)
       let answer : wait_result =
@@ -721,7 +722,7 @@ let propose t cmd =
     append_entry t { eterm = my_term; cmd };
     let idx = t.log_len in
     let ch = Chan.buffered 1 in
-    Hashtbl.replace t.waiters idx (my_term, ch);
+    Int_tbl.replace t.waiters idx (my_term, ch);
     if t.cfg.batch_window > 0 then begin
       (* group commit: park the entry in the window; a full window
          flushes immediately, otherwise the batcher's timer does *)
@@ -741,8 +742,8 @@ let propose t cmd =
         [ Chan.recv_case ch (fun (r : wait_result) -> (r :> [ wait_result | `Timeout ]));
           Chan.after t.cfg.propose_timeout (fun () -> `Timeout) ]
     in
-    (match Hashtbl.find_opt t.waiters idx with
-    | Some (_, c) when c == ch -> Hashtbl.remove t.waiters idx
+    (match Int_tbl.find_opt t.waiters idx with
+    | Some (_, c) when c == ch -> Int_tbl.remove t.waiters idx
     | Some _ | None -> ());
     match result with
     | `Applied payload -> `Ok payload

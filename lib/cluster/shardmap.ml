@@ -15,11 +15,9 @@ type t = {
 let hash64 s =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+  done;
   let mix h =
     let h = Int64.logxor h (Int64.shift_right_logical h 33) in
     let h = Int64.mul h 0xff51afd7ed558ccdL in

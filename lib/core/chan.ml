@@ -47,7 +47,7 @@ type 'a t = {
       (** [None] for an anonymous channel, whose label ["chan-<id>"] is
           built only when something asks for it *)
   cap : capacity;
-  buf : 'a slot Queue.t;
+  buf : 'a slot Deque.t;
   txq : 'a tx Deque.t;
   rxq : 'a rx Deque.t;
   mutable closed : bool;
@@ -66,7 +66,7 @@ let make_chan cap label =
   let eng = Engine.current () in
   let chid = Engine.fresh_id eng in
   let c =
-    { chid; chlabel = label; cap; buf = Queue.create (); txq = Deque.create ();
+    { chid; chlabel = label; cap; buf = Deque.create (); txq = Deque.create ();
       rxq = Deque.create (); closed = false }
   in
   (* Only explicitly labelled channels register with the snapshot
@@ -79,7 +79,7 @@ let make_chan cap label =
     Inspect.register ~name:(Printf.sprintf "chan/%s#%d" l c.chid)
       (fun () ->
         Inspect.Assoc
-          [ ("queued", Inspect.Int (Queue.length c.buf));
+          [ ("queued", Inspect.Int (Deque.length c.buf));
             ("capacity",
              Inspect.Int
                (match c.cap with
@@ -108,33 +108,25 @@ let id c = c.chid
 
 let is_closed c = c.closed
 
-let length c = Queue.length c.buf
+let length c = Deque.length c.buf
 
 (* The buffer can take one more value. *)
 let room c =
   match c.cap with
   | Unbounded -> true
-  | Bounded n -> Queue.length c.buf < n
+  | Bounded n -> Deque.length c.buf < n
   | Rendezvous -> false
 
-(* Take the first live offer off the queue, discarding stale ones.  The
-   caller must use the offer's waker before anything else runs. *)
-let rec pop_live live q =
-  match Deque.pop_front q with
-  | None -> None
-  | Some o as r -> if live o then r else pop_live live q
-
-(* Non-destructive probe: prune stale entries at the front, report
-   whether a live one remains. *)
+(* Prune stale offers at the front of the queue and report whether a
+   live one remains there.  A caller that goes on to [Deque.take_front]
+   it must use the offer's waker before anything else runs. *)
 let rec some_live live q =
-  match Deque.peek_front q with
-  | None -> false
-  | Some o ->
-    live o
-    || begin
-      ignore (Deque.pop_front q);
-      some_live live q
-    end
+  (not (Deque.is_empty q))
+  && (live (Deque.front q)
+     || begin
+       ignore (Deque.take_front q);
+       some_live live q
+     end)
 
 let deliver (Rx r) ~time v = Engine.wake_at r.rw time (r.rk v)
 
@@ -168,32 +160,31 @@ let charge_send_side eng ~words =
 (* When a buffered slot frees, promote the first waiting sender's
    value into the buffer and unblock that sender. *)
 let refill c ~time =
-  if room c then
-    match pop_live tx_live c.txq with
-    | None -> ()
-    | Some (Tx t as tx) ->
-      Queue.push
-        { sl_val = t.tv; sl_words = t.twords; sl_core = t.tcore;
-          sl_time = time }
-        c.buf;
-      release tx ~time
+  if room c && some_live tx_live c.txq then begin
+    let (Tx t as tx) = Deque.take_front c.txq in
+    Deque.push_back c.buf
+      { sl_val = t.tv; sl_words = t.twords; sl_core = t.tcore;
+        sl_time = time };
+    release tx ~time
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Send                                                                *)
 
 let send_fast eng c v ~words ~src ~ts =
   (* returns true when the send completed without blocking *)
-  match pop_live rx_live c.rxq with
-  | Some (Rx r as rx) ->
+  if some_live rx_live c.rxq then begin
+    let (Rx r as rx) = Deque.take_front c.rxq in
     count_message eng c ~src ~dst:r.rcore ~words;
     let lat = transit eng ~src ~dst:r.rcore in
     deliver rx ~time:(max ts r.rtime + lat) v;
     true
-  | None ->
+  end
+  else
     room c
     && begin
-      Queue.push { sl_val = v; sl_words = words; sl_core = src; sl_time = ts }
-        c.buf;
+      Deque.push_back c.buf
+        { sl_val = v; sl_words = words; sl_core = src; sl_time = ts };
       count_message eng c ~src ~dst:src ~words;
       true
     end
@@ -233,32 +224,30 @@ let try_send ?(words = 2) c v =
 (* A value is available if something is buffered, a live sender waits,
    or the channel is closed (in which case consuming raises). *)
 let recv_ready c =
-  (not (Queue.is_empty c.buf)) || some_live tx_live c.txq || c.closed
+  (not (Deque.is_empty c.buf)) || some_live tx_live c.txq || c.closed
 
 let recv_fast eng c ~me ~tr =
   (* call only when [recv_ready]; completes the receive and returns the
      value, raising [Closed] on a drained closed channel *)
-  if not (Queue.is_empty c.buf) then begin
-    let sl = Queue.pop c.buf in
+  if not (Deque.is_empty c.buf) then begin
+    let sl = Deque.take_front c.buf in
     let completion = max tr sl.sl_time + transit eng ~src:sl.sl_core ~dst:me in
     Engine.charge eng (completion - tr);
     refill c ~time:completion;
     if Engine.tracing eng then Engine.emit eng (Trace.Recv { chan = c.chid });
     sl.sl_val
   end
-  else
-    match pop_live tx_live c.txq with
-    | Some (Tx t as tx) ->
-      let completion = max tr t.ttime + transit eng ~src:t.tcore ~dst:me in
-      Engine.charge eng (completion - tr);
-      count_message eng c ~src:t.tcore ~dst:me ~words:t.twords;
-      release tx ~time:completion;
-      if Engine.tracing eng then
-        Engine.emit eng (Trace.Recv { chan = c.chid });
-      t.tv
-    | None ->
-      if c.closed then raise Closed
-      else failwith "Chan.recv_fast: not ready"
+  else if some_live tx_live c.txq then begin
+    let (Tx t as tx) = Deque.take_front c.txq in
+    let completion = max tr t.ttime + transit eng ~src:t.tcore ~dst:me in
+    Engine.charge eng (completion - tr);
+    count_message eng c ~src:t.tcore ~dst:me ~words:t.twords;
+    release tx ~time:completion;
+    if Engine.tracing eng then Engine.emit eng (Trace.Recv { chan = c.chid });
+    t.tv
+  end
+  else if c.closed then raise Closed
+  else failwith "Chan.recv_fast: not ready"
 
 let recv c =
   let eng = Engine.current () in
@@ -273,7 +262,7 @@ let try_recv c =
   let eng = Engine.current () in
   let me = Engine.fiber_core (Engine.self eng) in
   let tr = Engine.now eng in
-  if not (Queue.is_empty c.buf) || some_live tx_live c.txq then
+  if not (Deque.is_empty c.buf) || some_live tx_live c.txq then
     Some (recv_fast eng c ~me ~tr)
   else if c.closed then raise Closed
   else None
@@ -285,22 +274,14 @@ let close c =
   if not c.closed then begin
     let t = Engine.now (Engine.current ()) in
     c.closed <- true;
-    let rec abort_rxs () =
-      match pop_live rx_live c.rxq with
-      | None -> ()
-      | Some (Rx r) ->
-        Engine.wake_err_at r.rw t Closed;
-        abort_rxs ()
-    in
-    let rec abort_txs () =
-      match pop_live tx_live c.txq with
-      | None -> ()
-      | Some (Tx tx) ->
-        Engine.wake_err_at tx.tw t Closed;
-        abort_txs ()
-    in
-    abort_rxs ();
-    abort_txs ()
+    while some_live rx_live c.rxq do
+      let (Rx r) = Deque.take_front c.rxq in
+      Engine.wake_err_at r.rw t Closed
+    done;
+    while some_live tx_live c.txq do
+      let (Tx tx) = Deque.take_front c.txq in
+      Engine.wake_err_at tx.tw t Closed
+    done
   end
 
 (* ------------------------------------------------------------------ *)

@@ -55,7 +55,7 @@ type core_state = {
       (** this core's dispatch event, allocated once per run *)
 }
 
-module Fid_table = Hashtbl.Make (Int)
+module Fid_table = Chorus_util.Int_tbl
 
 type counters = {
   mutable msgs : int;
@@ -209,15 +209,14 @@ let rec kick t core at =
 
 and dispatch t core =
   core.kicked <- false;
-  match Deque.pop_front core.runq with
-  | Some f ->
-    run_segment t core f ~precharge:0;
+  if not (Deque.is_empty core.runq) then begin
+    run_segment t core (Deque.take_front core.runq) ~precharge:0;
     if not (Deque.is_empty core.runq) then kick t core core.free_at
     else if Policy.steals t.policy then
       (* keep this core draining other cores' backlogs *)
       kick t core core.free_at
-  | None ->
-    if Policy.steals t.policy then try_steal t core
+  end
+  else if Policy.steals t.policy then try_steal t core
 
 and steal_retry_interval = 2_000
 
@@ -230,11 +229,11 @@ and try_steal t core =
   let stolen =
     match Policy.steal_victim t.policy (policy_view t) ~thief:core.cid with
     | None -> false
-    | Some vic -> (
+    | Some vic ->
       let victim = t.cores.(vic) in
-      match Deque.pop_front victim.runq with
-      | None -> false
-      | Some f ->
+      if Deque.is_empty victim.runq then false
+      else begin
+        let f = Deque.take_front victim.runq in
         t.cnt.steals <- t.cnt.steals + 1;
         (match t.config.trace with
         | Some sink ->
@@ -250,7 +249,8 @@ and try_steal t core =
           + (Machine.hops t.machine vic core.cid * c.Cost.coherence_per_hop)
         in
         run_segment t core f ~precharge:miss;
-        true)
+        true
+      end
   in
   if stolen || not (Deque.is_empty core.runq) then kick t core core.free_at
   else if any_queued_elsewhere t core.cid then

@@ -55,7 +55,9 @@ type t = {
   rng : Rng.t;
   wire : (int * frame * nic) Chan.t;
       (** (deliver_at, frame, destination): drained by the wire pump *)
-  mutable nics : nic list;  (** reversed attach order *)
+  mutable nics : nic array;
+      (** by address: [nics.(a)] for every [a < next_addr]; the tail
+          past [next_addr] is filler *)
   mutable next_addr : int;
   mutable sent : int;
   mutable dropped : int;
@@ -110,7 +112,7 @@ let create ?(latency = 5_000) ?(loss = 0.0) ?(dup = 0.0) ?(reorder = 0.0)
       links = Hashtbl.create 8;
       lstats = { partitioned = 0; link_dropped = 0; link_delayed = 0 };
       rng = Rng.make seed; wire = Chan.unbounded ~label:"wire" ();
-      nics = []; next_addr = 0; sent = 0; dropped = 0; delivered = 0 }
+      nics = [||]; next_addr = 0; sent = 0; dropped = 0; delivered = 0 }
   in
   ignore (Fiber.spawn ~label:"wire-pump" ~daemon:true (fun () -> wire_pump t));
   t
@@ -158,18 +160,16 @@ let clear_link_faults t ~src ~dst = Hashtbl.remove t.links (src, dst)
 
 let link_stats t = t.lstats
 
-let find_nic t addr = List.find_opt (fun n -> n.naddr = addr) t.nics
-
 (* The transmit driver: one fiber per NIC, straight-line code, no
    locks (paper Section 4's driver pattern).
 
    Determinism note: the loss draw is unconditional (it always was);
    the dup/reorder/delay draws happen only while their knob is
    non-zero, and the per-link override lookup is a hash probe with no
-   RNG (link loss/delay draw only when their knob is non-zero on that
-   link), so with every knob off and no link overrides the RNG stream
-   — and therefore the whole run — is byte-identical to the pre-knob
-   fabric.
+   RNG, made only while some link has an override (link loss/delay
+   draw only when their knob is non-zero on that link), so with every
+   knob off and no link overrides the RNG stream — and therefore the
+   whole run — is byte-identical to the pre-knob fabric.
 
    A frame whose link fault fires (partition drop, link loss, link
    delay) is fully claimed by the link layer: the global
@@ -184,37 +184,42 @@ let driver t nic =
     Fiber.work (40 + (frame_words f * 2));
     t.sent <- t.sent + 1;
     (if Rng.bernoulli t.rng t.loss then t.dropped <- t.dropped + 1
-     else
-       match find_nic t f.dst with
-       | None -> t.dropped <- t.dropped + 1
-       | Some dst ->
-         let base = Fiber.now () + t.latency in
-         let global () =
-           (if fires t.delay then begin
-              t.fstats.delayed <- t.fstats.delayed + 1;
-              deliver_at t dst f (base + t.delay_cycles)
-            end
-            else if fires t.reorder then begin
-              t.fstats.reordered <- t.fstats.reordered + 1;
-              deliver_at t dst f (base + t.latency)
-            end
-            else Chan.send ~words:2 t.wire (base, f, dst));
-           if fires t.dup then begin
-             t.fstats.duplicated <- t.fstats.duplicated + 1;
-             deliver_at t dst f (base + (t.latency / 2))
-           end
-         in
-         (match Hashtbl.find_opt t.links (nic.naddr, f.dst) with
-         | Some lk when lk.lk_partition ->
-           t.lstats.partitioned <- t.lstats.partitioned + 1;
-           t.dropped <- t.dropped + 1
-         | Some lk when fires lk.lk_loss ->
-           t.lstats.link_dropped <- t.lstats.link_dropped + 1;
-           t.dropped <- t.dropped + 1
-         | Some lk when fires lk.lk_delay ->
-           t.lstats.link_delayed <- t.lstats.link_delayed + 1;
-           deliver_at t dst f (base + lk.lk_delay_cycles)
-         | Some _ | None -> global ()));
+     else if f.dst < 0 || f.dst >= t.next_addr then
+       t.dropped <- t.dropped + 1
+     else begin
+       let dst = t.nics.(f.dst) in
+       let base = Fiber.now () + t.latency in
+       let global () =
+         (if fires t.delay then begin
+            t.fstats.delayed <- t.fstats.delayed + 1;
+            deliver_at t dst f (base + t.delay_cycles)
+          end
+          else if fires t.reorder then begin
+            t.fstats.reordered <- t.fstats.reordered + 1;
+            deliver_at t dst f (base + t.latency)
+          end
+          else Chan.send ~words:2 t.wire (base, f, dst));
+         if fires t.dup then begin
+           t.fstats.duplicated <- t.fstats.duplicated + 1;
+           deliver_at t dst f (base + (t.latency / 2))
+         end
+       in
+       let link =
+         if Hashtbl.length t.links = 0 then None
+         else Hashtbl.find_opt t.links (nic.naddr, f.dst)
+       in
+       match link with
+       | Some lk when lk.lk_partition ->
+         t.lstats.partitioned <- t.lstats.partitioned + 1;
+         t.dropped <- t.dropped + 1
+       | Some lk when fires lk.lk_loss ->
+         t.lstats.link_dropped <- t.lstats.link_dropped + 1;
+         t.dropped <- t.dropped + 1
+       | Some lk when fires lk.lk_delay ->
+         t.lstats.link_delayed <- t.lstats.link_delayed + 1;
+         deliver_at t dst f (base + lk.lk_delay_cycles)
+       | Some _ | None -> global ()
+     end);
     loop ()
   in
   loop ()
@@ -230,7 +235,12 @@ let attach t ?label () =
       tx = Chan.unbounded ~label:(label ^ "-tx") ();
       rx_ch = Chan.unbounded ~label:(label ^ "-rx") () }
   in
-  t.nics <- nic :: t.nics;
+  if naddr = Array.length t.nics then begin
+    let nics = Array.make (max 8 (2 * naddr)) nic in
+    Array.blit t.nics 0 nics 0 naddr;
+    t.nics <- nics
+  end;
+  t.nics.(naddr) <- nic;
   ignore
     (Fiber.spawn ~label:(label ^ "-driver") ~daemon:true (fun () ->
          driver t nic));

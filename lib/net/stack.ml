@@ -2,6 +2,8 @@ module Fiber = Chorus.Fiber
 module Chan = Chorus.Chan
 module Rng = Chorus_util.Rng
 module Svc = Chorus_svc.Svc
+module Deque = Chorus_util.Deque
+module Int_tbl = Chorus_util.Int_tbl
 
 type rel_stats = {
   mutable calls : int;
@@ -14,31 +16,39 @@ type rel_stats = {
 (* Bounded (peer, seq) duplicate-suppression cache: FIFO in insertion
    order, so eviction is deterministic.  A re-[set] of a live key
    updates in place without renewing its position; an evicted key that
-   returns is a fresh insertion.  The queue mirrors the table exactly:
-   every key appears in it once. *)
+   returns is a fresh insertion.  A key is the pair packed into one int
+   (see {!key}); the ring mirrors the table exactly, every key once.
+   Without a capacity nothing is evicted and no order is kept. *)
 module Dedup = struct
   type 'v t = {
-    tbl : (int * int, 'v) Hashtbl.t;
-    order : (int * int) Queue.t;
+    tbl : 'v Int_tbl.t;
+    order : int Deque.t;  (** keys, oldest first *)
     cap : int;
     stats : rel_stats;
   }
 
   let create ~cap stats =
-    { tbl = Hashtbl.create 32; order = Queue.create (); cap; stats }
+    { tbl = Int_tbl.create 32; order = Deque.create (); cap; stats }
 
-  let find_opt d k = Hashtbl.find_opt d.tbl k
+  (* Addresses count attached NICs and seqs count one stack's calls,
+     so 32 bits of seq keep the packing one-to-one. *)
+  let key ~src ~seq =
+    assert (src >= 0 && seq >= 0 && seq < 1 lsl 32);
+    (src lsl 32) lor seq
+
+  let find_opt d k = Int_tbl.find_opt d.tbl k
 
   let set d k v =
-    if Hashtbl.mem d.tbl k then Hashtbl.replace d.tbl k v
+    if Int_tbl.mem d.tbl k then Int_tbl.replace d.tbl k v
     else begin
-      if d.cap > 0 && Queue.length d.order >= d.cap then begin
-        let victim = Queue.pop d.order in
-        Hashtbl.remove d.tbl victim;
-        d.stats.dedup_evictions <- d.stats.dedup_evictions + 1
+      if d.cap > 0 then begin
+        if Deque.length d.order >= d.cap then begin
+          Int_tbl.remove d.tbl (Deque.take_front d.order);
+          d.stats.dedup_evictions <- d.stats.dedup_evictions + 1
+        end;
+        Deque.push_back d.order k
       end;
-      Queue.push k d.order;
-      Hashtbl.replace d.tbl k v
+      Int_tbl.replace d.tbl k v
     end
 end
 
@@ -47,15 +57,15 @@ let default_dedup_capacity = 4096
 type t = {
   fabric : Fabric.t;
   nic : Fabric.nic;
-  ports : (int, Fabric.frame Chan.t) Hashtbl.t;
-  port_svcs : (int, Fabric.frame Svc.cast) Hashtbl.t;
+  ports : Fabric.frame Chan.t Int_tbl.t;
+  port_svcs : Fabric.frame Svc.cast Int_tbl.t;
       (** ports whose listener is a service endpoint; the demux offers
           frames through the endpoint's overload policy *)
-  pending : (int, string Chan.t) Hashtbl.t;
+  pending : string Chan.t Int_tbl.t;
       (** outstanding reliable calls, by seq *)
-  reply_demux_on : (int, unit) Hashtbl.t;
+  reply_demux_on : unit Int_tbl.t;
       (** reply ports whose demux fiber is running *)
-  served : (int, string option Dedup.t) Hashtbl.t;
+  served : string option Dedup.t Int_tbl.t;
       (** per-port duplicate-suppression state for {!serve_async}
           (and so {!serve}):
           (peer, seq) -> None while in flight, Some reply once sent.
@@ -72,11 +82,11 @@ let create fabric nic =
   let t =
     { fabric;
       nic;
-      ports = Hashtbl.create 8;
-      port_svcs = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
-      reply_demux_on = Hashtbl.create 4;
-      served = Hashtbl.create 4;
+      ports = Int_tbl.create 8;
+      port_svcs = Int_tbl.create 8;
+      pending = Int_tbl.create 8;
+      reply_demux_on = Int_tbl.create 4;
+      served = Int_tbl.create 4;
       retry_rng = Rng.make (0x57ac + (131 * Fabric.addr nic));
       stats =
         { calls = 0; retransmissions = 0; failures = 0;
@@ -91,13 +101,13 @@ let create fabric nic =
        (fun () ->
          let rec loop () =
            let f = Chan.recv (Fabric.rx nic) in
-           (match Hashtbl.find_opt t.port_svcs f.Fabric.port with
+           (match Int_tbl.find_opt t.port_svcs f.Fabric.port with
            | Some svc ->
              (* a shed/rejected frame is indistinguishable from wire
                 loss; the caller's retransmission recovers it *)
              ignore (Svc.offer ~words:4 svc f)
            | None -> (
-             match Hashtbl.find_opt t.ports f.Fabric.port with
+             match Int_tbl.find_opt t.ports f.Fabric.port with
              | Some ch -> Chan.send ~words:4 ch f
              | None -> (* no listener: drop, like a closed port *) ()));
            loop ()
@@ -108,10 +118,10 @@ let create fabric nic =
 let addr t = Fabric.addr t.nic
 
 let listen t ~port =
-  if Hashtbl.mem t.ports port then
+  if Int_tbl.mem t.ports port then
     invalid_arg (Printf.sprintf "Stack.listen: port %d taken" port);
   let ch = Chan.unbounded ~label:(Printf.sprintf "port-%d" port) () in
-  Hashtbl.replace t.ports port ch;
+  Int_tbl.replace t.ports port ch;
   ch
 
 let send t ~dst ~port ?seq payload =
@@ -136,8 +146,8 @@ let reply_port port = port + 10_000
    other's replies. *)
 let ensure_reply_demux t port =
   let rport = reply_port port in
-  if not (Hashtbl.mem t.reply_demux_on rport) then begin
-    Hashtbl.replace t.reply_demux_on rport ();
+  if not (Int_tbl.mem t.reply_demux_on rport) then begin
+    Int_tbl.replace t.reply_demux_on rport ();
     let replies = listen t ~port:rport in
     ignore
       (Fiber.spawn
@@ -146,9 +156,9 @@ let ensure_reply_demux t port =
          (fun () ->
            let rec loop () =
              let f = Chan.recv replies in
-             (match Hashtbl.find_opt t.pending f.Fabric.seq with
+             (match Int_tbl.find_opt t.pending f.Fabric.seq with
              | Some one_shot ->
-               Hashtbl.remove t.pending f.Fabric.seq;
+               Int_tbl.remove t.pending f.Fabric.seq;
                Chan.send one_shot f.Fabric.payload
              | None -> (* duplicate reply to a completed call *) ());
              loop ()
@@ -176,11 +186,11 @@ let call t ~dst ~port ?(timeout = 50_000) ?(attempts = 5) req =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let one_shot = Chan.buffered 1 in
-  Hashtbl.replace t.pending seq one_shot;
+  Int_tbl.replace t.pending seq one_shot;
   let rec attempt n =
     if n >= attempts then begin
       t.stats.failures <- t.stats.failures + 1;
-      Hashtbl.remove t.pending seq;
+      Int_tbl.remove t.pending seq;
       None
     end
     else begin
@@ -206,7 +216,7 @@ let attach_port_svc t ~port ?config requests =
       ~label:(Printf.sprintf "port-%d" port)
       requests
   in
-  Hashtbl.replace t.port_svcs port svc;
+  Int_tbl.replace t.port_svcs port svc;
   svc
 
 let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
@@ -214,21 +224,21 @@ let serve_async ?config ?(dedup_capacity = default_dedup_capacity) t ~port
   (* reuse the port channel when a previous server incarnation already
      registered it: a restarted service resumes the same endpoint *)
   let requests =
-    match Hashtbl.find_opt t.ports port with
+    match Int_tbl.find_opt t.ports port with
     | Some ch -> ch
     | None -> listen t ~port
   in
   let svc = attach_port_svc t ~port ?config requests in
   let seen =
-    match Hashtbl.find_opt t.served port with
+    match Int_tbl.find_opt t.served port with
     | Some d -> d
     | None ->
       let d = Dedup.create ~cap:dedup_capacity t.stats in
-      Hashtbl.replace t.served port d;
+      Int_tbl.replace t.served port d;
       d
   in
   Svc.serve_cast svc (fun f ->
-      let key = (f.Fabric.src, f.Fabric.seq) in
+      let key = Dedup.key ~src:f.Fabric.src ~seq:f.Fabric.seq in
       match Dedup.find_opt seen key with
       | Some (Some cached) ->
         (* completed earlier: replay the reply *)

@@ -17,6 +17,7 @@ module Chan = Chorus.Chan
 module Fiber = Chorus.Fiber
 module Metrics = Chorus_obs.Metrics
 module Span = Chorus_obs.Span
+module Int_tbl = Chorus_util.Int_tbl
 
 type policy = [ `Block | `Reject | `Shed_oldest ]
 
@@ -38,31 +39,31 @@ exception Expired
    table is created on first use (per run, so domain-safe), entries
    are save/restored around each [with_deadline] body, and an unarmed
    run pays one slot lookup returning [None]. *)
-let deadline_slot : (int, int) Hashtbl.t Chorus.Ctx.slot =
+let deadline_slot : int Int_tbl.t Chorus.Ctx.slot =
   Chorus.Ctx.slot "svc.deadline"
 
 let current_deadline () =
   match Chorus.Ctx.get deadline_slot with
   | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl (Fiber.id (Fiber.self ()))
+  | Some tbl -> Int_tbl.find_opt tbl (Fiber.id (Fiber.self ()))
 
 let with_deadline d f =
   let tbl =
     match Chorus.Ctx.get deadline_slot with
     | Some tbl -> tbl
     | None ->
-      let tbl = Hashtbl.create 8 in
+      let tbl = Int_tbl.create 8 in
       Chorus.Ctx.set deadline_slot tbl;
       tbl
   in
   let fid = Fiber.id (Fiber.self ()) in
-  let prev = Hashtbl.find_opt tbl fid in
-  Hashtbl.replace tbl fid d;
+  let prev = Int_tbl.find_opt tbl fid in
+  Int_tbl.replace tbl fid d;
   Fun.protect
     ~finally:(fun () ->
       match prev with
-      | Some p -> Hashtbl.replace tbl fid p
-      | None -> Hashtbl.remove tbl fid)
+      | Some p -> Int_tbl.replace tbl fid p
+      | None -> Int_tbl.remove tbl fid)
     f
 
 (* A caller's effective deadline: the tighter of the explicit argument
@@ -102,7 +103,7 @@ type 'msg cast = {
   rejected_c : Metrics.counter;
   shed_c : Metrics.counter;
   expired_c : Metrics.counter;
-  deadlines : (int, int) Hashtbl.t;
+  deadlines : int Int_tbl.t;
       (** reply-channel id -> absolute deadline, for in-queue requests *)
   span_sub : string;
   span_name : string;
@@ -151,7 +152,7 @@ let wrap ~cfg ~subsystem ~metric_name ~label ~on_shed inbox =
     rejected_c = Metrics.counter ~subsystem (mn ^ "rejected");
     shed_c = Metrics.counter ~subsystem (mn ^ "shed");
     expired_c = Metrics.counter ~subsystem (mn ^ "expired");
-    deadlines = Hashtbl.create 8;
+    deadlines = Int_tbl.create 8;
     span_sub = subsystem;
     span_name = (match metric_name with None -> "serve" | Some n -> n);
     hwm = 0;
@@ -210,7 +211,7 @@ let create ?config ?metric_name ~subsystem ~label () =
     cast_create ?config ?metric_name
       ~on_shed:(fun (_req, r) ->
         (match !epr with
-        | Some ep -> Hashtbl.remove ep.deadlines (Chan.id r)
+        | Some ep -> Int_tbl.remove ep.deadlines (Chan.id r)
         | None -> ());
         ignore (Chan.try_send r `Busy))
       ~subsystem ~label ()
@@ -300,10 +301,10 @@ let call_result ?words ?deadline t req =
     if Fiber.now () >= d then `Expired
     else
       let r = reply_chan () in
-      Hashtbl.replace t.deadlines (Chan.id r) d;
+      Int_tbl.replace t.deadlines (Chan.id r) d;
       (match offer ?words t (req, r) with
       | `Busy ->
-        Hashtbl.remove t.deadlines (Chan.id r);
+        Int_tbl.remove t.deadlines (Chan.id r);
         `Busy
       | `Ok ->
         Chan.choose
@@ -322,12 +323,12 @@ let call_async ?words ?deadline t req =
   | Some d when Fiber.now () >= d -> ignore (Chan.try_send r `Expired)
   | eff ->
     (match eff with
-    | Some d -> Hashtbl.replace t.deadlines (Chan.id r) d
+    | Some d -> Int_tbl.replace t.deadlines (Chan.id r) d
     | None -> ());
     (match offer ?words t (req, r) with
     | `Ok -> ()
     | `Busy ->
-      Hashtbl.remove t.deadlines (Chan.id r);
+      Int_tbl.remove t.deadlines (Chan.id r);
       ignore (Chan.try_send r `Busy)));
   r
 
@@ -382,10 +383,10 @@ let serve ?(words_of_resp = fun _ -> 2) ?until t handler =
        choose arm fired at the deadline).  Dropping here is what keeps
        an overloaded queue from serving an ever-older backlog. *)
     let dl =
-      match Hashtbl.find_opt t.deadlines (Chan.id r) with
+      match Int_tbl.find_opt t.deadlines (Chan.id r) with
       | None -> None
       | Some d ->
-        Hashtbl.remove t.deadlines (Chan.id r);
+        Int_tbl.remove t.deadlines (Chan.id r);
         Some d
     in
     match dl with

@@ -1,8 +1,16 @@
+(* A ring whose slots hold the elements themselves, so a push stores
+   one pointer and a take allocates nothing.  The buffer is an [Obj.t
+   array] filled with an immediate, so it is a plain block whatever ['a]
+   is (never a flat float array), and a vacated slot is reset to that
+   immediate so a taken element is not kept reachable.  Capacities are
+   powers of two, so wrapping is a mask. *)
 type 'a t = {
-  mutable buf : 'a option array;
+  mutable buf : Obj.t array;
   mutable head : int;  (* index of front element *)
   mutable size : int;
 }
+
+let vacant = Obj.repr 0
 
 (* The buffer is allocated on the first push: most channels' wait
    queues never hold anyone. *)
@@ -12,65 +20,49 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let capacity t = Array.length t.buf
+let mask t = Array.length t.buf - 1
 
-let index t i = (t.head + i) mod capacity t
+let index t i = (t.head + i) land mask t
 
 let grow t =
-  let n = max 16 (capacity t * 2) in
-  let buf = Array.make n None in
+  let buf = Array.make (max 2 (2 * Array.length t.buf)) vacant in
   for i = 0 to t.size - 1 do
     buf.(i) <- t.buf.(index t i)
   done;
   t.buf <- buf;
   t.head <- 0
 
-let push_back t x =
-  if t.size = capacity t then grow t;
-  t.buf.(index t t.size) <- Some x;
+let push_back t (x : 'a) =
+  if t.size = Array.length t.buf then grow t;
+  t.buf.(index t t.size) <- Obj.repr x;
   t.size <- t.size + 1
 
-let push_front t x =
-  if t.size = capacity t then grow t;
-  t.head <- (t.head + capacity t - 1) mod capacity t;
-  t.buf.(t.head) <- Some x;
+let push_front t (x : 'a) =
+  if t.size = Array.length t.buf then grow t;
+  t.head <- (t.head - 1) land mask t;
+  t.buf.(t.head) <- Obj.repr x;
   t.size <- t.size + 1
 
-let pop_front t =
-  if t.size = 0 then None
-  else begin
-    let x = t.buf.(t.head) in
-    t.buf.(t.head) <- None;
-    t.head <- (t.head + 1) mod capacity t;
-    t.size <- t.size - 1;
-    x
-  end
+let front t : 'a =
+  if t.size = 0 then invalid_arg "Deque.front: empty";
+  Obj.obj t.buf.(t.head)
 
-let pop_back t =
-  if t.size = 0 then None
-  else begin
-    let i = index t (t.size - 1) in
-    let x = t.buf.(i) in
-    t.buf.(i) <- None;
-    t.size <- t.size - 1;
-    x
-  end
+let take_front t : 'a =
+  if t.size = 0 then invalid_arg "Deque.take_front: empty";
+  let x = t.buf.(t.head) in
+  t.buf.(t.head) <- vacant;
+  t.head <- (t.head + 1) land mask t;
+  t.size <- t.size - 1;
+  Obj.obj x
 
-let peek_front t = if t.size = 0 then None else t.buf.(t.head)
-
-let clear t =
-  Array.fill t.buf 0 (capacity t) None;
-  t.head <- 0;
-  t.size <- 0
-
-let iter f t =
+let iter (f : 'a -> unit) t =
   for i = 0 to t.size - 1 do
-    match t.buf.(index t i) with
-    | Some x -> f x
-    | None -> assert false
+    f (Obj.obj t.buf.(index t i))
   done
 
 let to_list t =
   let acc = ref [] in
-  iter (fun x -> acc := x :: !acc) t;
-  List.rev !acc
+  for i = t.size - 1 downto 0 do
+    acc := Obj.obj t.buf.(index t i) :: !acc
+  done;
+  !acc

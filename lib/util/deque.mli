@@ -1,8 +1,9 @@
 (** Mutable double-ended queue (growable circular buffer).
 
-    Used for per-core run queues: the owning core pushes and pops at the
-    back (LIFO for cache warmth is not modelled; FIFO order is used for
-    determinism) while work-stealing removes from the front. *)
+    Used for per-core run queues, channel buffers and wait queues: FIFO
+    at the back, with high-priority fibers jumping in at the front.
+    Neither a push (beyond amortised growth) nor a take allocates, and
+    the buffer starts at two slots on the first push. *)
 
 type 'a t
 
@@ -16,13 +17,13 @@ val push_back : 'a t -> 'a -> unit
 
 val push_front : 'a t -> 'a -> unit
 
-val pop_front : 'a t -> 'a option
+val front : 'a t -> 'a
+(** The front element, left in place.  Raises [Invalid_argument] when
+    empty. *)
 
-val pop_back : 'a t -> 'a option
-
-val peek_front : 'a t -> 'a option
-
-val clear : 'a t -> unit
+val take_front : 'a t -> 'a
+(** Remove and return the front element.  Raises [Invalid_argument]
+    when empty. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] visits elements front to back. *)

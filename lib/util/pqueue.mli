@@ -4,9 +4,12 @@
     virtual time.  Each insertion also takes a sequence number from a
     counter the queue owns, and bindings with equal keys pop in
     insertion order, so the ordering of simultaneous events is
-    deterministic.  Keys and sequence numbers live in two [int] arrays
-    beside the value array and are compared with monomorphic [<]:
-    neither {!add} nor {!pop} allocates (beyond amortised growth). *)
+    deterministic.  Each value is written once, into a stable slot;
+    the heap itself orders [int] arrays of keys, sequence numbers and
+    slot indices, compared with monomorphic [<].  Neither {!add} nor
+    {!pop} allocates (beyond amortised growth), and each stores one
+    pointer: a sift moves only ints, so it never goes through the write
+    barrier. *)
 
 type 'a t
 

@@ -4,18 +4,29 @@ type t = {
   pmf : float array;
 }
 
+(* Two passes over [pmf] and no other temporary: the raw weights go
+   into [pmf] and are summed in rank order, then normalised in place
+   while [cdf] accumulates.  Every float operation happens in the same
+   order as with a separate weight array, so the tables are the same
+   bit for bit. *)
 let make ~n ~theta =
   assert (n > 0);
-  let w = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  let pmf = Array.map (fun x -> x /. total) w in
+  let pmf = Array.make n 0.0 in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = 1.0 /. (float_of_int (i + 1) ** theta) in
+    pmf.(i) <- w;
+    total := !total +. w
+  done;
+  let total = !total in
   let cdf = Array.make n 0.0 in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      acc := !acc +. p;
-      cdf.(i) <- !acc)
-    pmf;
+  for i = 0 to n - 1 do
+    let p = pmf.(i) /. total in
+    pmf.(i) <- p;
+    acc := !acc +. p;
+    cdf.(i) <- !acc
+  done;
   cdf.(n - 1) <- 1.0;
   { n; cdf; pmf }
 
@@ -34,3 +45,5 @@ let sample t rng =
   go 0 (t.n - 1)
 
 let probability t rank = t.pmf.(rank)
+
+let cumulative t rank = t.cdf.(rank)

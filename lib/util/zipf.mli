@@ -19,3 +19,7 @@ val sample : t -> Rng.t -> int
 
 val probability : t -> int -> float
 (** [probability t rank] is the exact probability mass of [rank]. *)
+
+val cumulative : t -> int -> float
+(** [cumulative t rank] is the probability of a rank at most [rank];
+    it is exactly [1.0] at the last rank. *)

@@ -17,6 +17,7 @@ module Fabric = Chorus_net.Fabric
 module Stack = Chorus_net.Stack
 module Rng = Chorus_util.Rng
 module Histogram = Chorus_util.Histogram
+module Int_tbl = Chorus_util.Int_tbl
 module Client = Chorus_cluster.Client
 
 type config = {
@@ -68,7 +69,18 @@ type result = {
   deadline_misses : int;  (* 0 without [op_budget] *)
 }
 
-let key_of_rank rank = Printf.sprintf "k%07d" rank
+(* [Printf.sprintf "k%07d" rank] for a rank (never negative), built
+   without a format interpreter: this runs once per generated op. *)
+let key_of_rank rank =
+  let digits = string_of_int rank in
+  let pad = 7 - String.length digits in
+  if pad <= 0 then "k" ^ digits
+  else begin
+    let b = Bytes.make 8 '0' in
+    Bytes.set b 0 'k';
+    Bytes.blit_string digits 0 b (1 + pad) (String.length digits);
+    Bytes.unsafe_to_string b
+  end
 
 (* One client connection: generator + deferred drain.  Nothing reads
    completions during the issue window, so the pipeline window is the
@@ -92,7 +104,7 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
     float_of_int (cfg.nclients * 1_000_000) /. float_of_int cfg.offered
   in
   let value = String.make cfg.value_bytes 'v' in
-  let sched = Hashtbl.create 64 in
+  let sched = Int_tbl.create 64 in
   let t0 = Fiber.now () in
   let t_end = t0 + cfg.duration in
   let issued = ref 0 in
@@ -115,7 +127,7 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
         end
       in
       let seq = Client.submit pipe op in
-      Hashtbl.replace sched seq (next_t, is_read);
+      Int_tbl.replace sched seq (next_t, is_read);
       incr issued;
       incr submitted;
       gen (next_t + gap ())
@@ -125,7 +137,7 @@ let drive cfg ~fabric ~bootstrap ~zipf ~idx ~lat ~lat_get ~lat_put ~failed
   let compl_c = Client.completions pipe in
   for _ = 1 to !issued do
     let { Client.seq; at; result } = Chan.recv compl_c in
-    let t_issue, is_read = Hashtbl.find sched seq in
+    let t_issue, is_read = Int_tbl.find sched seq in
     let d = at - t_issue in
     Histogram.record lat d;
     Histogram.record (if is_read then lat_get else lat_put) d;

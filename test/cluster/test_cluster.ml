@@ -46,6 +46,21 @@ let test_shardmap_pure () =
       Alcotest.(check int) "stable" s (Shardmap.shard_of_key b k))
     [ "alpha"; "beta"; ""; "x"; String.make 100 'q' ]
 
+let test_shardmap_hash_pinned () =
+  (* every node derives shard placement and Raft seeds from [hash64],
+     so its outputs are part of every cluster run's result *)
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int) (Printf.sprintf "hash64 %S" s) h
+        (Shardmap.hash64 s))
+    [ ("", 3445288215246350630);
+      ("a", 189900332573052507);
+      ("k0000042", 2830217135251436464);
+      ("node:1#7", 3306311078542443029);
+      ("shard:3", 631652831345830675);
+      ("raft:2:5", 1965771553041338428);
+      (String.make 100 'z', 2179380044473611276) ]
+
 let test_shardmap_roundtrip () =
   let m = Shardmap.build ~nshards:8 ~replication:2 [ 3; 1; 4; 1; 5 ] in
   match Shardmap.decode (Shardmap.encode m) with
@@ -660,6 +675,7 @@ let () =
     [ ( "shardmap",
         [ Alcotest.test_case "pure function of nodes" `Quick
             test_shardmap_pure;
+          Alcotest.test_case "hash64 pinned" `Quick test_shardmap_hash_pinned;
           Alcotest.test_case "wire roundtrip" `Quick test_shardmap_roundtrip;
           Alcotest.test_case "garbage decode" `Quick
             test_shardmap_decode_garbage;

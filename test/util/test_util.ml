@@ -94,6 +94,36 @@ let prop_pqueue_sorts =
       in
       pqueue_drain q = expected)
 
+let prop_pqueue_interleaved =
+  (* [Some k] adds key [k], [None] pops; checked against a list kept
+     stably sorted by key.  Runs past 64 pending bindings exercise
+     growth, and pops between adds reuse freed value slots. *)
+  QCheck.Test.make ~name:"pqueue interleaved add/pop matches a sorted model"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (option (int_range 0 50)))
+    (fun ops ->
+      let q = Pqueue.create ~dummy:(-1, -1) in
+      let model = ref [] and added = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some k ->
+            let v = (k, !added) in
+            incr added;
+            Pqueue.add q k v;
+            model :=
+              List.stable_sort (fun (a, _) (b, _) -> compare a b)
+                (!model @ [ v ]);
+            true
+          | None -> (
+            match !model with
+            | [] -> Pqueue.is_empty q
+            | ((k, _) as v) :: rest ->
+              model := rest;
+              Pqueue.min_key q = k && Pqueue.pop q = v))
+          && Pqueue.length q = List.length !model)
+        ops)
+
 let test_pqueue_fifo_ties () =
   (* equal keys pop in insertion order, also when interleaved with
      smaller and larger keys *)
@@ -136,20 +166,33 @@ let test_deque_basics () =
   Deque.push_back d 2;
   Deque.push_front d 0;
   Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (Deque.to_list d);
-  Alcotest.(check (option int)) "pop front" (Some 0) (Deque.pop_front d);
-  Alcotest.(check (option int)) "pop back" (Some 2) (Deque.pop_back d);
-  Alcotest.(check int) "length" 1 (Deque.length d)
+  Alcotest.(check int) "front" 0 (Deque.front d);
+  Alcotest.(check int) "take front" 0 (Deque.take_front d);
+  Alcotest.(check int) "take front again" 1 (Deque.take_front d);
+  Alcotest.(check int) "length" 1 (Deque.length d);
+  Alcotest.check_raises "take from empty"
+    (Invalid_argument "Deque.take_front: empty") (fun () ->
+      ignore (Deque.take_front d);
+      ignore (Deque.take_front d));
+  (* the buffer is never a flat float array, whatever the element *)
+  let f = Deque.create () in
+  List.iter (Deque.push_back f) [ 1.5; 2.5; 3.5 ];
+  Deque.push_front f 0.5;
+  Alcotest.(check (float 0.)) "float front" 0.5 (Deque.take_front f);
+  Alcotest.(check (list (float 0.))) "floats" [ 1.5; 2.5; 3.5 ]
+    (Deque.to_list f)
 
 let prop_deque_model =
-  (* model-check against a list *)
-  QCheck.Test.make ~name:"deque behaves like a list" ~count:200
+  (* model-check against a list; the buffer starts at two slots, so
+     runs of mixed pushes and takes wrap the ring at every capacity *)
+  QCheck.Test.make ~name:"deque behaves like a list" ~count:300
     QCheck.(list (pair (int_range 0 3) small_int))
     (fun ops ->
       let d = Deque.create () in
       let model = ref [] in
       List.for_all
         (fun (op, v) ->
-          match op with
+          (match op with
           | 0 ->
             Deque.push_back d v;
             model := !model @ [ v ];
@@ -159,21 +202,39 @@ let prop_deque_model =
             model := v :: !model;
             true
           | 2 -> (
-            let got = Deque.pop_front d in
             match !model with
-            | [] -> got = None
+            | [] -> Deque.is_empty d
             | x :: rest ->
               model := rest;
-              got = Some x)
+              Deque.take_front d = x)
           | _ -> (
-            let got = Deque.pop_back d in
-            match List.rev !model with
-            | [] -> got = None
-            | x :: rest ->
-              model := List.rev rest;
-              got = Some x))
+            match !model with
+            | [] -> Deque.is_empty d
+            | x :: _ -> Deque.front d = x))
+          && Deque.length d = List.length !model)
         ops
       && Deque.to_list d = !model)
+
+let test_deque_take_releases () =
+  (* a taken element must not stay reachable from the buffer while the
+     deque itself lives on *)
+  let d = Deque.create () in
+  let w = Weak.create 3 in
+  List.iter
+    (fun k ->
+      let v = ref k in
+      Weak.set w k (Some v);
+      Deque.push_back d v)
+    [ 0; 1; 2 ];
+  List.iter
+    (fun k ->
+      Alcotest.(check int) "fifo order" k !(Deque.take_front d);
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (Printf.sprintf "element %d collectable once taken" k)
+        true (Weak.get w k = None);
+      Alcotest.(check int) "remaining" (2 - k) (Deque.length d))
+    [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                           *)
@@ -298,6 +359,33 @@ let test_zipf_skew () =
   done;
   Alcotest.(check (float 1e-9)) "pmf sums to 1" 1.0 !total
 
+let test_zipf_tables_exact () =
+  (* the tables equal, bit for bit, the textbook construction: a weight
+     array, its sum, a normalised copy and a running sum *)
+  List.iter
+    (fun theta ->
+      let n = 1000 in
+      let w = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
+      let total = Array.fold_left ( +. ) 0.0 w in
+      let pmf = Array.map (fun x -> x /. total) w in
+      let acc = ref 0.0 in
+      let cdf =
+        Array.mapi
+          (fun i p ->
+            acc := !acc +. p;
+            if i = n - 1 then 1.0 else !acc)
+          pmf
+      in
+      let z = Zipf.make ~n ~theta in
+      let bits = Int64.bits_of_float in
+      for i = 0 to n - 1 do
+        if bits (Zipf.probability z i) <> bits pmf.(i) then
+          Alcotest.failf "theta %g: pmf of rank %d differs" theta i;
+        if bits (Zipf.cumulative z i) <> bits cdf.(i) then
+          Alcotest.failf "theta %g: cdf of rank %d differs" theta i
+      done)
+    [ 0.7; 0.99 ]
+
 let test_zipf_uniform_theta0 () =
   let z = Zipf.make ~n:10 ~theta:0.0 in
   for i = 0 to 9 do
@@ -379,9 +467,12 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "pop releases the value" `Quick
             test_pqueue_pop_releases;
-          qt prop_pqueue_sorts ] );
+          qt prop_pqueue_sorts;
+          qt prop_pqueue_interleaved ] );
       ( "deque",
         [ Alcotest.test_case "basics" `Quick test_deque_basics;
+          Alcotest.test_case "take releases the element" `Quick
+            test_deque_take_releases;
           qt prop_deque_model ] );
       ( "histogram",
         [ Alcotest.test_case "exact small values" `Quick
@@ -395,6 +486,7 @@ let () =
           qt prop_stats_merge_equals_sequential ] );
       ( "zipf",
         [ Alcotest.test_case "skew" `Quick test_zipf_skew;
+          Alcotest.test_case "tables exact" `Quick test_zipf_tables_exact;
           Alcotest.test_case "uniform at theta 0" `Quick
             test_zipf_uniform_theta0 ] );
       ( "rcu",
